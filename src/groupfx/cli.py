@@ -35,8 +35,8 @@ from .exceptions import (
     InvalidInputError,
     ParseError,
 )
+from .estimators import ESTIMATORS, GroupArrays
 from .first_stage import AuxiliaryDesign, estimate_groups
-from .gmm import fit_gmm_pooled
 from .md import (
     OracleSpec,
     b0_basis_diagonal,
@@ -44,12 +44,11 @@ from .md import (
     b0_basis_scalar,
     fit_md,
 )
-from .moments import GroupSample
+from .moments import GroupSample, moment_layout
 from .simlab import (
     load_preset,
     run_monte_carlo,
     simulate,
-    tsls_pooled,
     true_coefficients,
 )
 
@@ -60,7 +59,8 @@ EXIT_INPUT = 1
 EXIT_DESIGN = 2
 EXIT_INTERNAL = 3
 
-_METHODS = ("md", "md_alt", "gmm", "tsls")
+# estimators that need simulated truth cannot run on files
+_METHODS = tuple(name for name, est in ESTIMATORS.items() if not est.needs_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +284,11 @@ def ingest_units(units_path: str, policy_path: str):
     weights = [] if has_weight else None
     for gid in order:
         rec = groups[gid]
-        dy = np.asarray(rec["dy"])
-        e = np.asarray(rec["e"])
-        n_g = dy.shape[0]
-        ones = np.ones(n_g)
-        h2 = np.empty((n_g, 2, 2))
-        if has_z:
-            z = np.asarray(rec["z"])
-            h1 = np.stack([dy, z * dy], axis=1)
-            h2[:, 0, 0] = ones
-            h2[:, 0, 1] = e
-            h2[:, 1, 0] = z
-            h2[:, 1, 1] = z * e
-        else:
-            h1 = np.stack([dy, e * dy], axis=1)
-            h2[:, 0, 0] = ones
-            h2[:, 0, 1] = e
-            h2[:, 1, 0] = e
-            h2[:, 1, 1] = e
+        h1, h2 = moment_layout(
+            np.asarray(rec["dy"]),
+            np.asarray(rec["e"]),
+            np.asarray(rec["z"]) if has_z else None,
+        )
         samples.append(GroupSample(group_id=gid, h1s=h1, h2s=h2))
         if has_weight:
             wvals = set(rec["w"])
@@ -398,40 +385,6 @@ def _bound_dict(rep) -> dict:
     }
 
 
-def _coefficient_rows(fit, spec: OracleSpec, method: str) -> list[dict]:
-    rows = []
-    if method == "tsls":
-        ses = np.sqrt(np.clip(np.diag(fit.vcov_full), 0.0, None))
-        rows.append(
-            {"name": "tau0", "estimate": float(fit.alpha_hat[0]), "std_error": float(ses[0])}
-        )
-        rows.append(
-            {"name": "beta", "estimate": float(fit.B_hat[0, 0]), "std_error": float(ses[1])}
-        )
-        return rows
-    kp = spec.k_proj
-    v_alpha = spec.U @ fit.vcov_full[:kp, :kp] @ spec.U.T
-    alpha_se = np.sqrt(np.clip(np.diag(v_alpha), 0.0, None))
-    for i in range(spec.k):
-        rows.append(
-            {
-                "name": f"alpha_{i + 1}",
-                "estimate": float(fit.alpha_hat[i]),
-                "std_error": float(alpha_se[i]),
-            }
-        )
-    b_se = fit.coef_std_errors
-    for j in range(spec.m):
-        rows.append(
-            {
-                "name": f"b_{j + 1}",
-                "estimate": float(fit.basis_coefs[j]),
-                "std_error": float(b_se[j]),
-            }
-        )
-    return rows
-
-
 def _group_rows(estimates, fit) -> list[dict]:
     rows = []
     residuals = fit.residuals if fit is not None else {}
@@ -452,12 +405,17 @@ def _group_rows(estimates, fit) -> list[dict]:
     return rows
 
 
-def _proxy_residual_matrix(estimates, fit, k: int) -> np.ndarray:
-    res = np.zeros((len(estimates), k))
+def _proxy_bound(W: np.ndarray, estimates, fit, spec: OracleSpec):
+    """The discarded-group bound on feasible residuals, or None when undefined."""
+    res = np.zeros((len(estimates), spec.k))
     for i, gid in enumerate(estimates):
         if gid in fit.residuals:
             res[i] = fit.residuals[gid]
-    return res
+    omegas = np.array([e.omega for e in estimates.values()])
+    try:
+        return md_bias_bound(W, omegas, res, spec, residual_source="proxy")
+    except DesignDeficientError:
+        return None
 
 
 def _print_table(rows: list[dict], columns: list[str]) -> None:
@@ -492,54 +450,54 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _load_data(cfg: dict, command: str):
+    """Ingest the configured files and resolve the design against them."""
+    io = cfg.get("io", {})
+    for key in ("units", "policy"):
+        if key not in io:
+            raise ConfigError(f"io.{key} is required for {command}")
+    rank_tol = float(cfg.get("rank_tol", 1e-10))
+    samples, W, n_by_group, fw = ingest_units(io["units"], io["policy"])
+    design = dict(cfg.get("design", {}))
+    design["_p"] = W.shape[1]
+    spec = _resolve_design(design, samples[0].k, n_by_group, fw)
+    return io, rank_tol, samples, W, n_by_group, spec
+
+
 def cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config, "estimate")
     method = cfg.get("method")
     if method not in _METHODS:
         raise ConfigError(f"'method' must be one of {_METHODS}, got {method!r}")
-    io = cfg.get("io", {})
-    for key in ("units", "policy"):
-        if key not in io:
-            raise ConfigError(f"io.{key} is required for estimate")
-    rank_tol = float(cfg.get("rank_tol", 1e-10))
-    samples, W, n_by_group, fw = ingest_units(io["units"], io["policy"])
-    k = samples[0].k
-    design = dict(cfg.get("design", {}))
-    design["_p"] = W.shape[1]
-    spec = _resolve_design(design, k, n_by_group, fw)
+    estimator = ESTIMATORS[method]
+    io, rank_tol, samples, W, n_by_group, spec = _load_data(cfg, "estimate")
 
     aux = None
-    if method == "md_alt":
+    if estimator.needs_aux:
         if "aux" not in io:
-            raise ConfigError("io.aux is required for method 'md_alt'")
-        aux = load_aux_designs(io["aux"], k, rank_tol)
+            raise ConfigError(f"io.aux is required for method {method!r}")
+        aux = load_aux_designs(io["aux"], spec.k, rank_tol)
     estimates = estimate_groups(samples, rank_tol=rank_tol, aux=aux)
     est_list = list(estimates.values())
-
-    if method in ("md", "md_alt"):
-        fit = fit_md(est_list, W, spec)
-    elif method == "gmm":
-        fit = fit_gmm_pooled(samples, W, spec, rank_tol=rank_tol)
-    else:
-        fit = tsls_pooled(samples, W)
+    arrays = GroupArrays(
+        H1=np.stack([e.H1_hat for e in est_list]),
+        H2=np.stack([e.H2_hat for e in est_list]),
+        n=n_by_group,
+        W=W,
+        H2_pop=None if aux is None else np.stack([aux[g].H2_pop for g in estimates]),
+        group_ids=list(estimates),
+    )
+    result = estimator.run(arrays, spec, rank_tol)
+    fit = result.fit
 
     sel = selection_report(est_list)
-    bound = None
-    if method != "tsls":
-        res_matrix = _proxy_residual_matrix(estimates, fit, k)
-        try:
-            bound = md_bias_bound(
-                W,
-                np.array([e.omega for e in est_list]),
-                res_matrix,
-                spec,
-                residual_source="proxy",
-            )
-        except DesignDeficientError:
-            bound = None
+    bound = None if fit is None else _proxy_bound(W, estimates, fit, spec)
 
-    coef_rows = _coefficient_rows(fit, spec, method)
+    coef_rows = [
+        {"name": name, "estimate": float(value), "std_error": float(se)}
+        for name, value, se in result.rows
+    ]
     report = {
         "version": REPORT_VERSION,
         "command": "estimate",
@@ -635,33 +593,15 @@ def cmd_simulate(args) -> int:
 def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config, "diagnose")
-    io = cfg.get("io", {})
-    for key in ("units", "policy"):
-        if key not in io:
-            raise ConfigError(f"io.{key} is required for diagnose")
-    rank_tol = float(cfg.get("rank_tol", 1e-10))
-    samples, W, n_by_group, fw = ingest_units(io["units"], io["policy"])
-    k = samples[0].k
-    design = dict(cfg.get("design", {}))
-    design["_p"] = W.shape[1]
-    spec = _resolve_design(design, k, n_by_group, fw)
+    io, rank_tol, samples, W, n_by_group, spec = _load_data(cfg, "diagnose")
 
     estimates = estimate_groups(samples, rank_tol=rank_tol)
     est_list = list(estimates.values())
     sel = selection_report(est_list)
     cond = conditioning_summary(est_list)
 
-    bound = None
     try:
-        fit = fit_md(est_list, W, spec)
-        res_matrix = _proxy_residual_matrix(estimates, fit, k)
-        bound = md_bias_bound(
-            W,
-            np.array([e.omega for e in est_list]),
-            res_matrix,
-            spec,
-            residual_source="proxy",
-        )
+        bound = _proxy_bound(W, estimates, fit_md(est_list, W, spec), spec)
     except (DesignDeficientError, InvalidInputError):
         bound = None
 

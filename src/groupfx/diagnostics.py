@@ -21,6 +21,7 @@ from .exceptions import (
 )
 from .first_stage import GroupEstimate
 from .md import OracleSpec
+from .moments import design_singular
 
 _EIG_TOL = 1e-12
 
@@ -116,7 +117,7 @@ def md_bias_bound(
     M = (ones_w.T * omegas) @ ones_w / G
     eigs = np.linalg.eigvalsh(M)
     lam_min = float(eigs[0])
-    if lam_min <= _EIG_TOL * max(float(eigs[-1]), 1.0):
+    if design_singular(M, ones_w, _EIG_TOL):
         raise DesignDeficientError(
             "selected policy moment matrix is singular; the bound is undefined"
         )

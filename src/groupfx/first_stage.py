@@ -18,9 +18,8 @@ from .moments import (
     DEFAULT_RANK_TOL,
     GroupSample,
     _seq_mean,
-    average_moments,
-    batched_singular_values,
-    solve_theta,
+    nonsingular,
+    stack_averages,
 )
 
 
@@ -65,8 +64,7 @@ class AuxiliaryDesign:
             raise InvalidInputError(f"H2_pop must be square, got shape {H2.shape}")
         if not np.all(np.isfinite(H2)):
             raise InvalidInputError("H2_pop must be finite")
-        smin, smax = batched_singular_values(H2)
-        if smax == 0.0 or smin <= self.rank_tol * smax:
+        if not nonsingular(H2, self.rank_tol):
             raise InvalidInputError(
                 "auxiliary H2_pop is singular at the configured rank tolerance"
             )
@@ -81,16 +79,7 @@ def estimate_group(
     A singular sample Jacobian yields omega = 0 and no theta_hat; the averages
     are recorded either way.
     """
-    avgs = average_moments(sample)
-    theta = solve_theta(avgs, rank_tol=rank_tol)
-    return GroupEstimate(
-        group_id=sample.group_id,
-        theta_hat=theta,
-        omega=int(theta is not None),
-        n_g=sample.n_g,
-        H2_hat=avgs.H2,
-        H1_hat=avgs.H1,
-    )
+    return estimate_groups([sample], rank_tol=rank_tol)[sample.group_id]
 
 
 def estimate_group_alt(sample: GroupSample, aux: AuxiliaryDesign) -> GroupEstimate:
@@ -99,21 +88,7 @@ def estimate_group_alt(sample: GroupSample, aux: AuxiliaryDesign) -> GroupEstima
     theta_hat = H2_pop^{-1} H1_hat is defined for every sample, so omega is
     always 1, and it is unconditionally unbiased under the moment model.
     """
-    avgs = average_moments(sample)
-    if aux.H2_pop.shape[0] != sample.k:
-        raise InvalidInputError(
-            f"auxiliary design is {aux.H2_pop.shape[0]}-dimensional "
-            f"but group {sample.group_id!r} has k={sample.k}"
-        )
-    theta = np.linalg.solve(aux.H2_pop, avgs.H1)
-    return GroupEstimate(
-        group_id=sample.group_id,
-        theta_hat=theta,
-        omega=1,
-        n_g=sample.n_g,
-        H2_hat=avgs.H2,
-        H1_hat=avgs.H1,
-    )
+    return estimate_groups([sample], aux={sample.group_id: aux})[sample.group_id]
 
 
 def estimate_groups(
@@ -123,23 +98,41 @@ def estimate_groups(
 ) -> dict[str, GroupEstimate]:
     """Estimate every group, returning an ordered map keyed by group_id.
 
-    The computation is pure per group, so the output order is simply the input
-    order regardless of how callers parallelize. When ``aux`` is given it must
-    cover every group and the design-based route is used throughout.
+    The groups are solved together by :func:`estimate_arrays`, and the output
+    order is the input order. When ``aux`` is given it must cover every group
+    and the design-based route is used throughout.
     """
-    out: dict[str, GroupEstimate] = {}
+    seen: set[str] = set()
     for sample in samples:
-        if sample.group_id in out:
-            raise InvalidInputError(f"duplicate group_id {sample.group_id!r}")
-        if aux is not None:
-            if sample.group_id not in aux:
-                raise InvalidInputError(
-                    f"no auxiliary design for group {sample.group_id!r}"
-                )
-            out[sample.group_id] = estimate_group_alt(sample, aux[sample.group_id])
-        else:
-            out[sample.group_id] = estimate_group(sample, rank_tol=rank_tol)
-    return out
+        gid = sample.group_id
+        if gid in seen:
+            raise InvalidInputError(f"duplicate group_id {gid!r}")
+        seen.add(gid)
+        if aux is not None and gid not in aux:
+            raise InvalidInputError(f"no auxiliary design for group {gid!r}")
+    if not samples:
+        return {}
+    H1, H2 = stack_averages(samples)
+    H2_pop = None
+    if aux is not None:
+        H2_pop = np.stack([aux[s.group_id].H2_pop for s in samples])
+        if H2_pop.shape != H2.shape:
+            raise InvalidInputError(
+                f"auxiliary designs are {H2_pop.shape[1]}-dimensional, "
+                f"the groups have k={H2.shape[1]}"
+            )
+    theta, omega = estimate_arrays(H1, H2, rank_tol=rank_tol, H2_pop=H2_pop)
+    return {
+        s.group_id: GroupEstimate(
+            group_id=s.group_id,
+            theta_hat=theta[i] if omega[i] else None,
+            omega=int(omega[i]),
+            n_g=s.n_g,
+            H2_hat=H2[i],
+            H1_hat=H1[i],
+        )
+        for i, s in enumerate(samples)
+    }
 
 
 def ipw_tau(delta_y: np.ndarray, e: np.ndarray, pi: float) -> float:
@@ -193,8 +186,7 @@ def estimate_arrays(
     if H2_pop is not None:
         theta = np.linalg.solve(np.asarray(H2_pop, dtype=float), H1[..., None])[..., 0]
         return theta, np.ones(G, dtype=int)
-    smin, smax = batched_singular_values(H2)
-    omega = (smax > 0.0) & (smin > rank_tol * smax)
+    omega = nonsingular(H2, rank_tol)
     theta = np.zeros((G, k))
     if np.any(omega):
         theta[omega] = np.linalg.solve(H2[omega], H1[omega][..., None])[..., 0]

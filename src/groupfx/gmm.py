@@ -27,7 +27,7 @@ from .exceptions import (
 )
 from .first_stage import estimate_arrays
 from .md import FitResult, OracleSpec, concentrate_weights, fit_core
-from .moments import GroupSample, average_moments
+from .moments import GroupSample, stack_averages
 
 _SYM_TOL = 1e-12
 
@@ -127,9 +127,7 @@ def fit_gmm_pooled(
     """Pooled GMM fit from raw group samples; see :func:`fit_gmm_pooled_arrays`."""
     if not samples:
         raise InvalidInputError("no group samples supplied")
-    avgs = [average_moments(s) for s in samples]
-    H1 = np.stack([a.H1 for a in avgs])
-    H2 = np.stack([a.H2 for a in avgs])
+    H1, H2 = stack_averages(samples)
     ids = [s.group_id for s in samples]
     return fit_gmm_pooled_arrays(
         H1, H2, policies, spec, weights=weights, group_ids=ids, rank_tol=rank_tol
@@ -148,7 +146,7 @@ class DiscreteScenario:
     aggregated blocks to be invertible.
     """
 
-    W: np.ndarray  # (S, p)
+    W: np.ndarray  # (S, p); a vector is one policy column
     alpha: np.ndarray  # (S, k)
     atilde: np.ndarray  # (S, k, k), symmetric PSD
     prob: np.ndarray  # (S,)
@@ -157,12 +155,16 @@ class DiscreteScenario:
     b0_basis: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        W = np.atleast_2d(np.asarray(self.W, dtype=float))
-        if W.shape[0] != np.asarray(self.prob).shape[0]:
-            W = W.T
+        W = np.asarray(self.W, dtype=float)
+        if W.ndim == 1:
+            W = W[:, None]
         alpha = np.asarray(self.alpha, dtype=float)
         atilde = np.asarray(self.atilde, dtype=float)
         prob = np.asarray(self.prob, dtype=float)
+        if W.ndim != 2 or W.shape[0] != prob.shape[0]:
+            raise InvalidInputError(
+                f"W must have one row per state ({prob.shape[0]}), got shape {W.shape}"
+            )
         if np.any(prob < 0):
             raise InvalidInputError("state probabilities must be nonnegative")
         if abs(float(np.sum(prob)) - 1.0) > 1e-12:

@@ -26,6 +26,7 @@ from .exceptions import (
     NoDataError,
 )
 from .first_stage import GroupEstimate
+from .moments import design_singular
 
 _EIG_TOL = 1e-12
 
@@ -371,8 +372,7 @@ def _design_checks(
     )  # (G, 1 + p) regressor rows
     wsel = weights * include
     M = (ones_w.T * wsel) @ ones_w / max(np.sum(include), 1)
-    eigs = np.linalg.eigvalsh(M)
-    if eigs[0] <= _EIG_TOL * max(eigs[-1], 1.0):
+    if design_singular(M, ones_w, _EIG_TOL):
         raise DesignDeficientError(
             "weighted policy moment matrix is singular; the selected groups "
             "do not span the policy design"

@@ -16,7 +16,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -161,19 +161,46 @@ class MomentAverages:
         return self.H1.shape[0]
 
 
-def build_did_unit(delta_y: float, e: int) -> UnitMoment:
+def moment_layout(dy, e, z=None, reduce=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unit moments of the difference regression and its instrumented variant.
+
+    Instruments (1, z) are crossed with regressors (1, e), so a unit
+    contributes h1 = (dy, z dy) and h2 = [[1, e], [z, z e]]; the difference
+    design is the case z = e, and e and z may be any finite reals. Inputs
+    broadcast: scalars give one unit, equal-length columns a stack of units.
+
+    ``reduce``, when given, maps each unit-level column to group-level values
+    (for example within-group means) as soon as the column is formed, so that
+    averaging many units holds one product column at a time and never a
+    per-unit stack. The constant entry is set to exactly 1, the mean of a
+    constant. Returns (h1, h2) with shapes (..., 2) and (..., 2, 2).
+    """
+    if z is None:
+        z = e
+    if reduce is None:
+        reduce = np.asarray
+    m_y = reduce(dy)
+    h1 = np.empty(np.shape(m_y) + (2,))
+    h2 = np.empty(np.shape(m_y) + (2, 2))
+    h1[..., 0] = m_y
+    h1[..., 1] = reduce(z * dy)
+    h2[..., 0, 0] = 1.0
+    h2[..., 0, 1] = reduce(e)
+    h2[..., 1, 0] = reduce(z)
+    h2[..., 1, 1] = reduce(z * e)
+    return h1, h2
+
+
+def build_did_unit(delta_y: float, e: float) -> UnitMoment:
     """Moment contribution of one unit in the difference regression.
 
     The unit's outcome change ``delta_y`` is regressed on a constant and the
-    binary event ``e``; theta is (intercept, effect).
+    event ``e``; theta is (intercept, effect).
     """
-    _require_finite("delta_y", delta_y)
-    _require_finite("e", e)
-    x = np.array([1.0, float(e)])
-    return UnitMoment(h1=x * float(delta_y), h2=np.outer(x, x))
+    return build_iv_unit(delta_y, e, e)
 
 
-def build_iv_unit(delta_y: float, e: int, z: float) -> UnitMoment:
+def build_iv_unit(delta_y: float, e: float, z: float) -> UnitMoment:
     """Moment contribution of one unit in the instrumented difference regression.
 
     Instruments (1, z) are crossed with regressors (1, e); theta remains
@@ -183,9 +210,7 @@ def build_iv_unit(delta_y: float, e: int, z: float) -> UnitMoment:
     _require_finite("delta_y", delta_y)
     _require_finite("e", e)
     _require_finite("z", z)
-    zvec = np.array([1.0, float(z)])
-    xvec = np.array([1.0, float(e)])
-    return UnitMoment(h1=zvec * float(delta_y), h2=np.outer(zvec, xvec))
+    return UnitMoment(*moment_layout(float(delta_y), float(e), float(z)))
 
 
 def average_moments(sample: GroupSample, compensated: bool = False) -> MomentAverages:
@@ -204,31 +229,51 @@ def average_moments(sample: GroupSample, compensated: bool = False) -> MomentAve
     return MomentAverages(H1=mean(sample.h1s), H2=mean(sample.h2s))
 
 
+def stack_averages(samples: Sequence[GroupSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Within-group averages of several samples, stacked to (G, k) and (G, k, k)."""
+    avgs = [average_moments(s) for s in samples]
+    return np.stack([a.H1 for a in avgs]), np.stack([a.H2 for a in avgs])
+
+
+def nonsingular(H2: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Which of the (..., k, k) matrices count as invertible.
+
+    A matrix is singular when its smallest singular value does not exceed
+    ``rank_tol`` times its largest (the finite-precision stand-in for the
+    population invertibility event). A ``rank_tol`` of zero demands a strictly
+    positive smallest singular value.
+    """
+    if rank_tol < 0:
+        raise InvalidInputError(f"rank_tol must be nonnegative, got {rank_tol}")
+    svals = np.linalg.svd(np.asarray(H2, dtype=float), compute_uv=False)
+    return svals[..., -1] > rank_tol * svals[..., 0]
+
+
+def design_singular(A: np.ndarray, X: np.ndarray, rank_tol: float) -> bool:
+    """Rank test of a moment matrix A built from regressor rows X.
+
+    Rows and columns of A are divided by the root mean square of the matching
+    column of X first, so the decision does not depend on the units of the
+    columns, and exact collinearity stays exact. A zero column is singular.
+    """
+    rms = np.sqrt(np.mean(X * X, axis=0))
+    if np.any(rms == 0.0):
+        return True
+    return not nonsingular(A / np.outer(rms, rms), rank_tol)
+
+
 def solve_theta(
     avgs: MomentAverages, rank_tol: float = DEFAULT_RANK_TOL
 ) -> Optional[np.ndarray]:
     """Solve H2 theta = H1 for theta, or report a singular system.
 
-    Returns None when the smallest singular value of H2 does not exceed
-    ``rank_tol`` times the largest (the finite-precision stand-in for the
-    population invertibility event); callers map None to omega = 0. A
-    ``rank_tol`` of zero demands a strictly positive smallest singular value.
+    Returns None when :func:`nonsingular` rejects H2; callers map None to
+    omega = 0.
     """
-    if rank_tol < 0:
-        raise InvalidInputError(f"rank_tol must be nonnegative, got {rank_tol}")
     H1 = np.asarray(avgs.H1, dtype=float)
     H2 = np.asarray(avgs.H2, dtype=float)
     _require_finite("H1", H1)
     _require_finite("H2", H2)
-    svals = np.linalg.svd(H2, compute_uv=False)
-    smax = svals[0]
-    smin = svals[-1]
-    if smax == 0.0 or smin <= rank_tol * smax:
+    if not nonsingular(H2, rank_tol):
         return None
     return np.linalg.solve(H2, H1)
-
-
-def batched_singular_values(H2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest singular values for a stack of (G, k, k) matrices."""
-    svals = np.linalg.svd(np.asarray(H2, dtype=float), compute_uv=False)
-    return svals[..., -1], svals[..., 0]

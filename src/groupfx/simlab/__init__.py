@@ -1,6 +1,7 @@
 """Synthetic scenario lab: data-generating processes, exact population
 limits, instrumented estimators, and the Monte Carlo driver."""
 
+from ..estimators import oracle_fit
 from .dgp import (
     CompositionConfig,
     ScenarioConfig,
@@ -17,7 +18,6 @@ from .montecarlo import (
     ESTIMATOR_TAGS,
     McSummary,
     default_spec,
-    oracle_fit,
     run_monte_carlo,
     run_replications,
     selection_bound_audit,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..exceptions import ConfigError
-from ..moments import GroupSample
+from ..moments import GroupSample, moment_layout
 
 # stream purposes for the counter-based generator
 _STREAMS = {
@@ -224,37 +224,16 @@ class SimulatedData:
 
     def samples(self) -> list[GroupSample]:
         """Materialize per-group samples (desk-scale use: export, round trips)."""
-        gi = self.units["group_index"]
         dy = self.units["delta_y"]
-        e = self.units["e"]
+        e = self.units["e"].astype(float)
         z = self.units.get("z")
+        z = None if z is None else z.astype(float)
         ids = self.group_ids()
         starts = np.concatenate([[0], np.cumsum(self.n)[:-1]]).astype(int)
         out = []
         for g in range(self.G):
             sl = slice(starts[g], starts[g] + int(self.n[g]))
-            if z is None:
-                xcol = e[sl].astype(float)
-                zcol = None
-            else:
-                xcol = e[sl].astype(float)
-                zcol = z[sl].astype(float)
-            n_g = int(self.n[g])
-            ones = np.ones(n_g)
-            if zcol is None:
-                h1 = np.stack([dy[sl], xcol * dy[sl]], axis=1)
-                h2 = np.empty((n_g, 2, 2))
-                h2[:, 0, 0] = ones
-                h2[:, 0, 1] = xcol
-                h2[:, 1, 0] = xcol
-                h2[:, 1, 1] = xcol
-            else:
-                h1 = np.stack([dy[sl], zcol * dy[sl]], axis=1)
-                h2 = np.empty((n_g, 2, 2))
-                h2[:, 0, 0] = ones
-                h2[:, 0, 1] = xcol
-                h2[:, 1, 0] = zcol
-                h2[:, 1, 1] = zcol * xcol
+            h1, h2 = moment_layout(dy[sl], e[sl], None if z is None else z[sl])
             out.append(GroupSample(group_id=ids[g], h1s=h1, h2s=h2))
         return out
 
@@ -266,10 +245,8 @@ def _draw_noise(cfg: ScenarioConfig, rng: np.random.Generator, N: int) -> np.nda
     return cfg.noise_sigma * rng.standard_normal(N)
 
 
-def _draw_group_level(
-    cfg: ScenarioConfig, replication: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw (n, W, alpha) for every group."""
+def _draw_group_level(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, ...]:
+    """Draw (n, W, alpha) for every group, plus each unit's group index."""
     rng_n = stream_rng(cfg.seed, replication, "nsize")
     rng_w = stream_rng(cfg.seed, replication, "policy")
     rng_a = stream_rng(cfg.seed, replication, "alpha")
@@ -287,30 +264,46 @@ def _draw_group_level(
     support = np.asarray(cfg.alpha_support, dtype=float)
     aidx = rng_a.choice(support.shape[0], size=cfg.G, p=np.asarray(cfg.alpha_probs))
     alpha = support[aidx]
-    return n, W, alpha
+    return n, W, alpha, np.repeat(np.arange(cfg.G), n)
 
 
-def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return np.add.reduceat(values, starts)
+def _replication(
+    n, W, theta, pi, H2_pop, gi, dy, e, z: Optional[np.ndarray] = None
+) -> SimulatedData:
+    """Package one replication, averaging the unit moments within groups.
 
-
-def _did_moments(
-    n: np.ndarray, dy: np.ndarray, x2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moment averages for the difference design; x2 is the (0/1) event column."""
+    Units come in consecutive blocks of sizes n; each moment column is summed
+    per block left to right, as soon as it is formed.
+    """
     starts = np.concatenate([[0], np.cumsum(n)[:-1]]).astype(int)
     nf = n.astype(float)
-    m_y = _group_sums(dy, starts) / nf
-    m_xy = _group_sums(x2 * dy, starts) / nf
-    m_x = _group_sums(x2.astype(float), starts) / nf
-    G = n.shape[0]
-    H1 = np.stack([m_y, m_xy], axis=1)
-    H2 = np.empty((G, 2, 2))
-    H2[:, 0, 0] = 1.0
-    H2[:, 0, 1] = m_x
-    H2[:, 1, 0] = m_x
-    H2[:, 1, 1] = m_x
-    return H1, H2
+    H1, H2 = moment_layout(
+        dy, e, z, reduce=lambda col: np.add.reduceat(col, starts) / nf
+    )
+    units = {"group_index": gi, "delta_y": dy, "e": e}
+    if z is not None:
+        units["z"] = z
+    return SimulatedData(
+        kind="did" if z is None else "iv",
+        n=n,
+        W=W,
+        H1=H1,
+        H2=H2,
+        theta_true=theta,
+        H2_pop=H2_pop,
+        event_prob=pi,
+        units=units,
+    )
+
+
+def _population_jacobian(m_e: np.ndarray, m_z, m_ze: np.ndarray) -> np.ndarray:
+    """Per-group E[h2] = [[1, E e], [E z, E z e]] from the three expectations."""
+    H2_pop = np.empty(m_e.shape + (2, 2))
+    H2_pop[:, 0, 0] = 1.0
+    H2_pop[:, 0, 1] = m_e
+    H2_pop[:, 1, 0] = m_z
+    H2_pop[:, 1, 1] = m_ze
+    return H2_pop
 
 
 def simulate_did(cfg: ScenarioConfig, replication: int) -> SimulatedData:
@@ -323,35 +316,18 @@ def simulate_did(cfg: ScenarioConfig, replication: int) -> SimulatedData:
     """
     if cfg.kind != "did" or cfg.composition is not None:
         raise ConfigError("simulate_did requires a plain 'did' configuration")
-    n, W, alpha = _draw_group_level(cfg, replication)
+    n, W, alpha, gi = _draw_group_level(cfg, replication)
     theta = alpha + W @ cfg.b0.T
     pi = cfg.selection_prob(alpha[:, -1], W[:, 0])
 
-    N = int(n.sum())
-    gi = np.repeat(np.arange(cfg.G), n)
+    N = gi.shape[0]
     rng_t = stream_rng(cfg.seed, replication, "treat")
     rng_e = stream_rng(cfg.seed, replication, "noise")
     e = (rng_t.random(N) < pi[gi]).astype(np.int64)
     eps = _draw_noise(cfg, rng_e, N)
     dy = theta[gi, 0] + theta[gi, 1] * e + eps
 
-    H1, H2 = _did_moments(n, dy, e)
-    H2_pop = np.empty((cfg.G, 2, 2))
-    H2_pop[:, 0, 0] = 1.0
-    H2_pop[:, 0, 1] = pi
-    H2_pop[:, 1, 0] = pi
-    H2_pop[:, 1, 1] = pi
-    return SimulatedData(
-        kind="did",
-        n=n,
-        W=W,
-        H1=H1,
-        H2=H2,
-        theta_true=theta,
-        H2_pop=H2_pop,
-        event_prob=pi,
-        units={"group_index": gi, "delta_y": dy, "e": e},
-    )
+    return _replication(n, W, theta, pi, _population_jacobian(pi, pi, pi), gi, dy, e)
 
 
 def simulate_iv(cfg: ScenarioConfig, replication: int) -> SimulatedData:
@@ -365,12 +341,11 @@ def simulate_iv(cfg: ScenarioConfig, replication: int) -> SimulatedData:
     """
     if cfg.kind != "iv":
         raise ConfigError("simulate_iv requires kind='iv'")
-    n, W, alpha = _draw_group_level(cfg, replication)
+    n, W, alpha, gi = _draw_group_level(cfg, replication)
     theta = alpha + W @ cfg.b0.T
     pi = cfg.selection_prob(alpha[:, -1], W[:, 0])
 
-    N = int(n.sum())
-    gi = np.repeat(np.arange(cfg.G), n)
+    N = gi.shape[0]
     rng_z = stream_rng(cfg.seed, replication, "instrument")
     rng_c = stream_rng(cfg.seed, replication, "complier")
     rng_e = stream_rng(cfg.seed, replication, "noise")
@@ -380,38 +355,8 @@ def simulate_iv(cfg: ScenarioConfig, replication: int) -> SimulatedData:
     eps = _draw_noise(cfg, rng_e, N)
     dy = theta[gi, 0] + theta[gi, 1] * e + eps
 
-    starts = np.concatenate([[0], np.cumsum(n)[:-1]]).astype(int)
-    nf = n.astype(float)
-    ef = e.astype(float)
-    zf = z.astype(float)
-    m_y = _group_sums(dy, starts) / nf
-    m_zy = _group_sums(zf * dy, starts) / nf
-    m_e = _group_sums(ef, starts) / nf
-    m_z = _group_sums(zf, starts) / nf
-    m_ze = _group_sums(zf * ef, starts) / nf
-    H1 = np.stack([m_y, m_zy], axis=1)
-    H2 = np.empty((cfg.G, 2, 2))
-    H2[:, 0, 0] = 1.0
-    H2[:, 0, 1] = m_e
-    H2[:, 1, 0] = m_z
-    H2[:, 1, 1] = m_ze
-
-    H2_pop = np.empty((cfg.G, 2, 2))
-    H2_pop[:, 0, 0] = 1.0
-    H2_pop[:, 0, 1] = pi / 2.0
-    H2_pop[:, 1, 0] = 0.5
-    H2_pop[:, 1, 1] = pi / 2.0
-    return SimulatedData(
-        kind="iv",
-        n=n,
-        W=W,
-        H1=H1,
-        H2=H2,
-        theta_true=theta,
-        H2_pop=H2_pop,
-        event_prob=pi,
-        units={"group_index": gi, "delta_y": dy, "e": e, "z": z},
-    )
+    H2_pop = _population_jacobian(pi / 2.0, 0.5, pi / 2.0)
+    return _replication(n, W, theta, pi, H2_pop, gi, dy, e, z)
 
 
 def composition_event_prob(comp: CompositionConfig, w1: np.ndarray) -> np.ndarray:
@@ -448,14 +393,13 @@ def simulate_composition(cfg: ScenarioConfig, replication: int) -> SimulatedData
         raise ConfigError(
             "simulate_composition needs a composition block and a two-dimensional policy"
         )
-    n, W, alpha = _draw_group_level(cfg, replication)
+    n, W, alpha, gi = _draw_group_level(cfg, replication)
     delta = alpha[:, 0]
     tau_g = composition_att(comp, W[:, 0], W[:, 1])
     theta = np.stack([delta, tau_g], axis=1)
     pi = composition_event_prob(comp, W[:, 0])
 
-    N = int(n.sum())
-    gi = np.repeat(np.arange(cfg.G), n)
+    N = gi.shape[0]
     rng_x = stream_rng(cfg.seed, replication, "trait")
     rng_t = stream_rng(cfg.seed, replication, "treat")
     rng_e = stream_rng(cfg.seed, replication, "noise")
@@ -468,23 +412,7 @@ def simulate_composition(cfg: ScenarioConfig, replication: int) -> SimulatedData
     eps = _draw_noise(cfg, rng_e, N)
     dy = delta[gi] + tau_i * e + eps
 
-    H1, H2 = _did_moments(n, dy, e)
-    H2_pop = np.empty((cfg.G, 2, 2))
-    H2_pop[:, 0, 0] = 1.0
-    H2_pop[:, 0, 1] = pi
-    H2_pop[:, 1, 0] = pi
-    H2_pop[:, 1, 1] = pi
-    return SimulatedData(
-        kind="did",
-        n=n,
-        W=W,
-        H1=H1,
-        H2=H2,
-        theta_true=theta,
-        H2_pop=H2_pop,
-        event_prob=pi,
-        units={"group_index": gi, "delta_y": dy, "e": e},
-    )
+    return _replication(n, W, theta, pi, _population_jacobian(pi, pi, pi), gi, dy, e)
 
 
 def simulate(cfg: ScenarioConfig, replication: int) -> SimulatedData:

@@ -13,16 +13,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..diagnostics import md_bias_bound
+from ..estimators import ESTIMATORS, GroupArrays
 from ..exceptions import ConfigError
 from ..first_stage import estimate_arrays
-from ..gmm import fit_gmm_pooled_arrays
-from ..md import FitResult, OracleSpec, fit_md_arrays
-from .dgp import ScenarioConfig, SimulatedData, simulate
-from .tsls import tsls_pooled_arrays
+from ..md import OracleSpec, fit_md_arrays
+from .dgp import ScenarioConfig, simulate
 
 _Z95 = 1.959963984540054
 
-ESTIMATOR_TAGS = ("md", "md_alt", "gmm", "tsls_pooled", "oracle")
+ESTIMATOR_TAGS = tuple(ESTIMATORS)
 
 
 @dataclass(frozen=True)
@@ -76,43 +75,6 @@ def true_coefficients(cfg: ScenarioConfig, spec: OracleSpec) -> np.ndarray:
     return spec.basis_coefficients(cfg.b0)
 
 
-def oracle_fit(
-    true_thetas: np.ndarray, policies: np.ndarray, spec: OracleSpec
-) -> FitResult:
-    """Benchmark fit on the true group parameters with every group retained."""
-    theta = np.asarray(true_thetas, dtype=float)
-    return fit_md_arrays(theta, np.ones(theta.shape[0], dtype=int), policies, spec)
-
-
-def _run_estimator(tag: str, data: SimulatedData, spec: OracleSpec, rank_tol: float):
-    """One estimator on one replication; returns (coefs, ses, dropped_share)."""
-    if tag == "md":
-        theta, omega = estimate_arrays(data.H1, data.H2, rank_tol=rank_tol)
-        fit = fit_md_arrays(theta, omega, data.W, spec)
-        share = 1.0 - float(np.mean(omega))
-    elif tag == "md_alt":
-        theta, omega = estimate_arrays(data.H1, data.H2, H2_pop=data.H2_pop)
-        fit = fit_md_arrays(theta, omega, data.W, spec)
-        share = 0.0
-    elif tag == "gmm":
-        fit = fit_gmm_pooled_arrays(data.H1, data.H2, data.W, spec, rank_tol=rank_tol)
-        share = 0.0
-    elif tag == "oracle":
-        fit = oracle_fit(data.theta_true, data.W, spec)
-        share = 0.0
-    elif tag == "tsls_pooled":
-        if data.kind != "iv":
-            raise ConfigError("tsls_pooled requires an instrumented scenario")
-        coefs, vcov = tsls_pooled_arrays(data.H1, data.H2, data.n, data.W)
-        se = float(np.sqrt(max(vcov[1, 1], 0.0)))
-        return np.array([coefs[1]]), np.array([se]), 0.0
-    else:
-        raise ConfigError(
-            f"unknown estimator {tag!r}; available: {', '.join(ESTIMATOR_TAGS)}"
-        )
-    return fit.basis_coefs.copy(), fit.coef_std_errors.copy(), share
-
-
 def run_replications(
     cfg: ScenarioConfig,
     estimators: Sequence[str],
@@ -128,28 +90,29 @@ def run_replications(
     if R < 1:
         raise ConfigError("the replication count must be at least 1")
     for tag in estimators:
-        if tag not in ESTIMATOR_TAGS:
+        if tag not in ESTIMATORS:
             raise ConfigError(
                 f"unknown estimator {tag!r}; available: {', '.join(ESTIMATOR_TAGS)}"
             )
+        if ESTIMATORS[tag].instrumented and cfg.kind != "iv":
+            raise ConfigError(f"{tag} requires an instrumented scenario")
     if spec is None:
         spec = default_spec(cfg)
-    out = {
-        tag: {"coefs": [], "ses": [], "dropped": []} for tag in estimators
-    }
+    out = {tag: {"coefs": [], "ses": [], "dropped": []} for tag in estimators}
     for r in range(1, R + 1):
         data = simulate(cfg, r)
+        arrays = GroupArrays(
+            data.H1, data.H2, data.n, data.W,
+            H2_pop=data.H2_pop, theta_true=data.theta_true,
+        )
         for tag in estimators:
-            coefs, ses, share = _run_estimator(tag, data, spec, rank_tol)
-            out[tag]["coefs"].append(coefs)
-            out[tag]["ses"].append(ses)
-            out[tag]["dropped"].append(share)
+            est = ESTIMATORS[tag].run(arrays, spec, rank_tol)
+            out[tag]["coefs"].append(est.coefs)
+            out[tag]["ses"].append(est.ses)
+            out[tag]["dropped"].append(1.0 - float(np.mean(est.used)))
+            del est  # free its fit before the next estimator runs
     return {
-        tag: {
-            "coefs": np.asarray(v["coefs"]),
-            "ses": np.asarray(v["ses"]),
-            "dropped": np.asarray(v["dropped"]),
-        }
+        tag: {key: np.asarray(values) for key, values in v.items()}
         for tag, v in out.items()
     }
 
@@ -164,9 +127,6 @@ def summarize_draws(
     sd = coefs.std(axis=0, ddof=1) if R > 1 else np.zeros(mean.shape)
     mc_se = sd / np.sqrt(R)
     b_true = np.asarray(b_true, dtype=float)
-    if b_true.shape != mean.shape:
-        # the pooled instrumented fit reports a single interaction coefficient
-        b_true = b_true[: mean.shape[0]]
     bias = mean - b_true
     coverage = None
     if np.all(np.isfinite(ses)) and np.any(ses > 0):

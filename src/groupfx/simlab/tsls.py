@@ -15,7 +15,13 @@ import numpy as np
 
 from ..exceptions import DesignDeficientError, InvalidInputError
 from ..md import FitResult
-from ..moments import GroupSample, average_moments, solve_theta
+from ..moments import (
+    GroupSample,
+    average_moments,
+    design_singular,
+    solve_theta,
+    stack_averages,
+)
 
 
 def tsls_group(sample: GroupSample, rank_tol: float = 1e-10) -> Optional[np.ndarray]:
@@ -26,13 +32,6 @@ def tsls_group(sample: GroupSample, rank_tol: float = 1e-10) -> Optional[np.ndar
     design, when the in-sample covariance of instrument and event vanishes).
     """
     return solve_theta(average_moments(sample), rank_tol=rank_tol)
-
-
-def _cov_terms(H1: np.ndarray, H2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Within-group Cov(z, dy) and Cov(z, e) from the averaged moments."""
-    m_y, m_zy = H1[:, 0], H1[:, 1]
-    m_e, m_z, m_ze = H2[:, 0, 1], H2[:, 1, 0], H2[:, 1, 1]
-    return m_zy - m_z * m_y, m_ze - m_z * m_e
 
 
 def tsls_pooled_arrays(
@@ -51,17 +50,20 @@ def tsls_pooled_arrays(
         if W.shape[1] != 1:
             raise InvalidInputError("the pooled instrumented fit takes a scalar policy")
         W = W[:, 0]
-    szy, sze = _cov_terms(np.asarray(H1, float), np.asarray(H2, float))
+    H1 = np.asarray(H1, dtype=float)
+    H2 = np.asarray(H2, dtype=float)
     nf = np.asarray(n, dtype=float)
-    szy = szy * nf
-    sze = sze * nf
+    # within-group Cov(z, dy) and Cov(z, e), times the group size
+    m_z = H2[:, 1, 0]
+    szy = (H1[:, 1] - m_z * H1[:, 0]) * nf
+    sze = (H2[:, 1, 1] - m_z * H2[:, 0, 1]) * nf
     A = np.empty((2, 2))
     A[0, 0] = np.sum(sze)
     A[0, 1] = np.sum(sze * W)
     A[1, 0] = A[0, 1]
     A[1, 1] = np.sum(sze * W * W)
     rhs = np.array([np.sum(szy), np.sum(szy * W)])
-    if abs(np.linalg.det(A)) <= 1e-12 * max(1.0, float(np.max(np.abs(A))) ** 2):
+    if design_singular(A, np.stack([np.ones_like(W), W], axis=1), 1e-12):
         raise DesignDeficientError(
             "instrumented design is rank deficient: compliance does not vary "
             "enough across policy values"
@@ -89,9 +91,7 @@ def tsls_pooled(
     """
     if not samples:
         raise InvalidInputError("no group samples supplied")
-    avgs = [average_moments(s) for s in samples]
-    H1 = np.stack([a.H1 for a in avgs])
-    H2 = np.stack([a.H2 for a in avgs])
+    H1, H2 = stack_averages(samples)
     n = np.array([s.n_g for s in samples], dtype=float)
     coefs, vcov = tsls_pooled_arrays(H1, H2, n, policies)
     return FitResult(

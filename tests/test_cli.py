@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import groupfx as gx
 from groupfx.cli import main
 from groupfx.exceptions import ParseError
 from groupfx.cli import ingest_units, load_aux_designs
@@ -103,6 +104,22 @@ class TestIngest:
         policy = _write(tmp_path / "p.csv", "group_id,w_1\ng1,0.0\ng1,1.0\n")
         with pytest.raises(ParseError, match="duplicate group_id"):
             ingest_units(units, policy)
+
+    def test_non_binary_event_matches_library_moments(self, tmp_path):
+        rows = [(1.0, 0.0), (2.5, 0.5), (4.0, 1.0), (7.0, 2.0)]
+        units = _write(
+            tmp_path / "u.csv",
+            "group_id,delta_y,e\n" + "".join(f"g1,{dy!r},{e!r}\n" for dy, e in rows),
+        )
+        policy = _write(tmp_path / "p.csv", "group_id,w_1\ng1,0.0\n")
+        (sample,), _, _, _ = ingest_units(units, policy)
+        for i, (dy, e) in enumerate(rows):
+            unit = gx.build_did_unit(dy, e)
+            np.testing.assert_array_equal(sample.h1s[i], unit.h1)
+            np.testing.assert_array_equal(sample.h2s[i], unit.h2)
+        np.testing.assert_allclose(
+            gx.estimate_group(sample).theta_hat, [1.0, 3.0], rtol=1e-12
+        )
 
     def test_aux_schema_enforced(self, tmp_path):
         aux = _write(
@@ -330,6 +347,50 @@ class TestSimulateCommand:
             reports.append(_validated_report(out))
         assert reports[0]["mc_summaries"][0]["mean"] == reports[1]["mc_summaries"][0]["mean"]
         assert reports[0]["mc_summaries"][0]["mean"] != reports[2]["mc_summaries"][0]["mean"]
+
+
+class TestEstimateRoundTrip:
+    """``estimate`` on an export equals the estimator table on the arrays."""
+
+    @pytest.mark.parametrize(
+        "method, preset_name, G",
+        [
+            ("md_alt", "selection_demo", 150),
+            ("gmm", "gmm_bias_demo", 120),
+            ("tsls", "iv_compliance_demo", 20),
+        ],
+    )
+    def test_bit_identical(self, tmp_path, method, preset_name, G):
+        from groupfx.cli import export_units
+        from groupfx.estimators import ESTIMATORS, GroupArrays
+        from groupfx.simlab import load_preset, simulate
+
+        preset = load_preset(preset_name, G=G)
+        data = simulate(preset.cfg, 1)
+        prefix = str(tmp_path / "dump")
+        units, policy = export_units(data, prefix)
+        aux_lines = ["group_id,h2_11,h2_12,h2_21,h2_22"] + [
+            ",".join([gid] + [repr(float(v)) for v in data.H2_pop[g].ravel()])
+            for g, gid in enumerate(data.group_ids())
+        ]
+        aux = _write(tmp_path / "aux.csv", "\n".join(aux_lines) + "\n")
+        out = tmp_path / "rep.json"
+        cfg = _config(
+            tmp_path,
+            method=method,
+            io={"units": units, "policy": policy, "aux": aux},
+            design=_design(),
+        )
+        assert main(["estimate", "--config", cfg, "--out", str(out), "--json-only"]) == 0
+        report = _validated_report(out)
+
+        arrays = GroupArrays(data.H1, data.H2, data.n, data.W, H2_pop=data.H2_pop)
+        ref = ESTIMATORS[method].run(arrays, preset.spec, 1e-10)
+        expected = [
+            {"name": name, "estimate": float(value), "std_error": float(se)}
+            for name, value, se in ref.rows
+        ]
+        assert report["coefficients"] == expected  # bitwise equality
 
 
 class TestDiagnoseCommand:

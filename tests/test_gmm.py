@@ -228,6 +228,28 @@ class TestDiscreteScenario:
             )
 
 
+class TestDiscreteScenarioPolicyShape:
+    def test_vector_policy_is_one_column(self):
+        scn = _four_state_scenario()
+        payload = scn.to_dict()
+        payload["W"] = [w[0] for w in payload["W"]]
+        clone = DiscreteScenario.from_dict(payload)
+        np.testing.assert_array_equal(clone.W, scn.W)
+
+    def test_rows_must_match_states(self):
+        # two states and two policy columns: a transposed W is not guessed
+        with pytest.raises(InvalidInputError, match="one row per state"):
+            DiscreteScenario(
+                W=np.array([[0.0, 1.0]]),
+                alpha=np.zeros((2, 1)),
+                atilde=np.ones((2, 1, 1)),
+                prob=np.array([0.5, 0.5]),
+                B0_true=np.zeros((1, 2)),
+                gamma=np.zeros((1, 0)),
+                b0_basis=(np.array([[1.0, 0.0]]),),
+            )
+
+
 class TestGmmPlim:
     def test_four_state_fixture(self):
         scn = _four_state_scenario(b0=1.0)

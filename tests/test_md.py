@@ -324,3 +324,32 @@ class TestKappaBruteForce:
                 best = min(best, np.linalg.norm(spec.P_perp @ B) / nb)
             assert spec.kappa <= best + 1e-9
             assert best - spec.kappa < 0.02
+
+
+class TestPolicyUnits:
+    """Rank decisions do not depend on the units of the policy column."""
+
+    @pytest.mark.parametrize("c", [1e-6, 1e8])
+    def test_rescaled_policies(self, c):
+        from groupfx.simlab import load_preset, simulate, tsls_pooled_arrays
+
+        preset = load_preset("iv_compliance_demo", G=60)
+        data = simulate(preset.cfg, 1)
+        theta, omega = gx.first_stage.estimate_arrays(data.H1, data.H2)
+        omega[:3] = 0  # some dropped groups, so the bound is not trivially zero
+        spec = preset.spec
+
+        base = fit_md_arrays(theta, omega, data.W, spec)
+        scaled = fit_md_arrays(theta, omega, data.W * c, spec)
+        np.testing.assert_allclose(scaled.basis_coefs * c, base.basis_coefs, rtol=1e-10)
+
+        coefs, _ = tsls_pooled_arrays(data.H1, data.H2, data.n, data.W)
+        coefs_c, _ = tsls_pooled_arrays(data.H1, data.H2, data.n, data.W * c)
+        assert coefs_c[1] * c == pytest.approx(coefs[1], rel=1e-10)
+
+        resid = np.stack([base.residuals[g] for g in base.group_ids])
+        full = np.zeros((data.G, spec.k))
+        full[omega.astype(bool)] = resid
+        report = gx.md_bias_bound(data.W * c, omega, full, spec)
+        assert np.isfinite(report.bound_value) and report.bound_value > 0
+        assert report.max_policy_norm == pytest.approx(c, rel=1e-12)
