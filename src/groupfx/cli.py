@@ -27,6 +27,7 @@ from .diagnostics import (
     conditioning_summary,
     md_bias_bound,
     selection_report,
+    selection_report_arrays,
 )
 from .exceptions import (
     ConfigError,
@@ -36,7 +37,12 @@ from .exceptions import (
     ParseError,
 )
 from .estimators import ESTIMATORS, GroupArrays
-from .first_stage import AuxiliaryDesign, estimate_groups
+from .first_stage import (
+    AuxiliaryDesign,
+    estimate_arrays,
+    estimate_groups,
+    stack_aux,
+)
 from .md import (
     OracleSpec,
     b0_basis_diagonal,
@@ -44,7 +50,7 @@ from .md import (
     b0_basis_scalar,
     fit_md,
 )
-from .moments import GroupSample, moment_layout
+from .moments import GroupSample, moment_layout, stack_averages
 from .simlab import (
     load_preset,
     run_monte_carlo,
@@ -385,33 +391,37 @@ def _bound_dict(rep) -> dict:
     }
 
 
-def _group_rows(estimates, fit) -> list[dict]:
-    rows = []
-    residuals = fit.residuals if fit is not None else {}
-    for gid, est in estimates.items():
-        rows.append(
-            {
-                "group_id": gid,
-                "n_g": est.n_g,
-                "omega": est.omega,
-                "theta_hat": None
-                if est.theta_hat is None
-                else [float(x) for x in est.theta_hat],
-                "residual": None
-                if gid not in residuals
-                else [float(x) for x in residuals[gid]],
-            }
-        )
-    return rows
+def _group_rows(groups) -> list[dict]:
+    """Report rows from (group_id, n_g, omega, theta_hat, residual) tuples.
+
+    ``theta_hat`` and ``residual`` are None where a group has none.
+    """
+    return [
+        {
+            "group_id": gid,
+            "n_g": n_g,
+            "omega": omega,
+            "theta_hat": None if theta is None else [float(x) for x in theta],
+            "residual": None if resid is None else [float(x) for x in resid],
+        }
+        for gid, n_g, omega, theta, resid in groups
+    ]
 
 
-def _proxy_bound(W: np.ndarray, estimates, fit, spec: OracleSpec):
-    """The discarded-group bound on feasible residuals, or None when undefined."""
-    res = np.zeros((len(estimates), spec.k))
-    for i, gid in enumerate(estimates):
-        if gid in fit.residuals:
-            res[i] = fit.residuals[gid]
-    omegas = np.array([e.omega for e in estimates.values()])
+def _input_residuals(fit, G: int) -> np.ndarray:
+    """The fit's residuals by input position, (G, k); NaN rows where undefined."""
+    res = np.full((G, fit.resid.shape[1]), np.nan)
+    res[fit.positions] = fit.resid
+    return res
+
+
+def _proxy_bound(W: np.ndarray, omegas: np.ndarray, res: np.ndarray, spec: OracleSpec):
+    """The discarded-group bound on feasible residuals, or None when undefined.
+
+    ``res`` holds the residuals by input position, NaN rows where undefined;
+    the bound reads those as zero.
+    """
+    res = np.where(np.isnan(res), 0.0, res)
     try:
         return md_bias_bound(W, omegas, res, spec, residual_source="proxy")
     except DesignDeficientError:
@@ -473,26 +483,24 @@ def cmd_estimate(args) -> int:
     estimator = ESTIMATORS[method]
     io, rank_tol, samples, W, n_by_group, spec = _load_data(cfg, "estimate")
 
-    aux = None
+    ids = [s.group_id for s in samples]
+    H2_pop = None
     if estimator.needs_aux:
         if "aux" not in io:
             raise ConfigError(f"io.aux is required for method {method!r}")
-        aux = load_aux_designs(io["aux"], spec.k, rank_tol)
-    estimates = estimate_groups(samples, rank_tol=rank_tol, aux=aux)
-    est_list = list(estimates.values())
-    arrays = GroupArrays(
-        H1=np.stack([e.H1_hat for e in est_list]),
-        H2=np.stack([e.H2_hat for e in est_list]),
-        n=n_by_group,
-        W=W,
-        H2_pop=None if aux is None else np.stack([aux[g].H2_pop for g in estimates]),
-        group_ids=list(estimates),
-    )
+        H2_pop = stack_aux(load_aux_designs(io["aux"], spec.k, rank_tol), ids)
+    H1, H2 = stack_averages(samples)
+    arrays = GroupArrays(H1, H2, n_by_group, W, H2_pop=H2_pop, group_ids=ids)
     result = estimator.run(arrays, spec, rank_tol)
     fit = result.fit
+    # the selection report and group rows share the entry's first stage
+    theta, omega = result.theta, result.omega
+    if omega is None:
+        theta, omega = estimate_arrays(H1, H2, rank_tol=rank_tol, H2_pop=H2_pop)
+    res = None if fit is None else _input_residuals(fit, len(ids))
 
-    sel = selection_report(est_list)
-    bound = None if fit is None else _proxy_bound(W, estimates, fit, spec)
+    sel = selection_report_arrays(omega)
+    bound = None if fit is None else _proxy_bound(W, omega, res, spec)
 
     coef_rows = [
         {"name": name, "estimate": float(value), "std_error": float(se)}
@@ -508,7 +516,16 @@ def cmd_estimate(args) -> int:
         "timing": {"seconds": time.perf_counter() - t0},
     }
     if cfg.get("report", {}).get("per_group"):
-        report["groups"] = _group_rows(estimates, fit)
+        resid = [None] * len(ids)
+        if res is not None:
+            defined = ~np.all(np.isnan(res), axis=1)
+            resid = [r if ok else None for r, ok in zip(res.tolist(), defined)]
+        report["groups"] = _group_rows(
+            (gid, n_g, om, th if om else None, r)
+            for gid, n_g, om, th, r in zip(
+                ids, n_by_group.tolist(), omega.tolist(), theta.tolist(), resid
+            )
+        )
     _emit(report, args.out or io.get("out"))
     if not args.json_only:
         print(f"method: {method}   groups: {sel.G}   dropped: {sel.dropped}")
@@ -600,8 +617,10 @@ def cmd_diagnose(args) -> int:
     sel = selection_report(est_list)
     cond = conditioning_summary(est_list)
 
+    omega = np.array([e.omega for e in est_list])
     try:
-        bound = _proxy_bound(W, estimates, fit_md(est_list, W, spec), spec)
+        fit = fit_md(est_list, W, spec)
+        bound = _proxy_bound(W, omega, _input_residuals(fit, len(est_list)), spec)
     except (DesignDeficientError, InvalidInputError):
         bound = None
 
@@ -615,7 +634,9 @@ def cmd_diagnose(args) -> int:
         "timing": {"seconds": time.perf_counter() - t0},
     }
     if cfg.get("report", {}).get("per_group"):
-        report["groups"] = _group_rows(estimates, None)
+        report["groups"] = _group_rows(
+            (gid, e.n_g, e.omega, e.theta_hat, None) for gid, e in estimates.items()
+        )
     _emit(report, args.out or io.get("out"))
     if not args.json_only:
         print(

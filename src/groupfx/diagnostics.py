@@ -64,10 +64,15 @@ class BoundReport:
 
 def selection_report(estimates: Sequence[GroupEstimate]) -> SelectionReport:
     """Count discarded groups and compare their share against 1/sqrt(G)."""
-    G = len(estimates)
+    return selection_report_arrays(np.array([e.omega for e in estimates], dtype=int))
+
+
+def selection_report_arrays(omega: np.ndarray) -> SelectionReport:
+    """:func:`selection_report` from the (G,) selection indicators."""
+    G = int(np.shape(omega)[0])
     if G < 1:
         raise InvalidInputError("selection report needs at least one group")
-    dropped = sum(1 for e in estimates if e.omega == 0)
+    dropped = G - int(np.count_nonzero(omega))
     share = dropped / G
     threshold = 1.0 / np.sqrt(G)
     return SelectionReport(
@@ -193,14 +198,10 @@ def conditioning_summary(
     estimates: Sequence[GroupEstimate],
 ) -> Optional[Mapping[str, float]]:
     """Smallest-singular-value summary of the selected sample Jacobians."""
-    smins = []
-    for e in estimates:
-        if e.omega == 1:
-            svals = np.linalg.svd(e.H2_hat, compute_uv=False)
-            smins.append(float(svals[-1]))
-    if not smins:
+    selected = [e.H2_hat for e in estimates if e.omega == 1]
+    if not selected:
         return None
-    arr = np.asarray(smins)
+    arr = np.linalg.svd(np.stack(selected), compute_uv=False)[:, -1]
     return {
         "min_smallest_singular_value": float(np.min(arr)),
         "median_smallest_singular_value": float(np.median(arr)),

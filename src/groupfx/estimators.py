@@ -39,6 +39,8 @@ class Estimate(NamedTuple):
     ``rows`` are the (name, estimate, std_error) triples a report prints,
     ``coefs``/``ses`` the effect coefficients in the design's basis, ``used``
     marks the groups in the fit, and ``fit`` is the second stage, if any.
+    ``theta``/``omega`` are the per-group first stage the entry solved, as
+    returned by :func:`estimate_arrays`, if it solved one.
     """
 
     rows: list[tuple[str, float, float]]
@@ -46,6 +48,8 @@ class Estimate(NamedTuple):
     ses: np.ndarray
     used: np.ndarray
     fit: Optional[FitResult] = None
+    theta: Optional[np.ndarray] = None
+    omega: Optional[np.ndarray] = None
 
 
 class Estimator(NamedTuple):
@@ -70,27 +74,31 @@ def oracle_fit(
     return fit_md_arrays(theta, np.ones(theta.shape[0], dtype=int), policies, spec)
 
 
-def _from_fit(fit: FitResult, spec: OracleSpec, used: np.ndarray) -> Estimate:
+def _from_fit(
+    fit: FitResult, spec: OracleSpec, used: np.ndarray, theta=None, omega=None
+) -> Estimate:
     kp = spec.k_proj
     v_alpha = spec.U @ fit.vcov_full[:kp, :kp] @ spec.U.T
     alpha_se = np.sqrt(np.clip(np.diag(v_alpha), 0.0, None))
     b_se = fit.coef_std_errors
     rows = [(f"alpha_{i + 1}", fit.alpha_hat[i], alpha_se[i]) for i in range(spec.k)]
     rows += [(f"b_{j + 1}", fit.basis_coefs[j], b_se[j]) for j in range(spec.m)]
-    return Estimate(rows, fit.basis_coefs.copy(), b_se, used, fit)
+    return Estimate(rows, fit.basis_coefs.copy(), b_se, used, fit, theta, omega)
 
 
 def _two_step(a: GroupArrays, spec: OracleSpec, rank_tol: float, H2_pop=None) -> Estimate:
     theta, omega = estimate_arrays(a.H1, a.H2, rank_tol=rank_tol, H2_pop=H2_pop)
     fit = fit_md_arrays(theta, omega, a.W, spec, group_ids=a.group_ids)
-    return _from_fit(fit, spec, omega)
+    return _from_fit(fit, spec, omega, theta, omega)
 
 
 def _gmm(a: GroupArrays, spec: OracleSpec, rank_tol: float) -> Estimate:
+    theta, omega = estimate_arrays(a.H1, a.H2, rank_tol=rank_tol)
     fit = fit_gmm_pooled_arrays(
-        a.H1, a.H2, a.W, spec, group_ids=a.group_ids, rank_tol=rank_tol
+        a.H1, a.H2, a.W, spec, group_ids=a.group_ids, rank_tol=rank_tol,
+        first_stage=(theta, omega),
     )
-    return _from_fit(fit, spec, np.ones(a.H1.shape[0], dtype=int))
+    return _from_fit(fit, spec, np.ones(a.H1.shape[0], dtype=int), theta, omega)
 
 
 def _oracle(a: GroupArrays, spec: OracleSpec, rank_tol: float) -> Estimate:

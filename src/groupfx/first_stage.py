@@ -108,14 +108,12 @@ def estimate_groups(
         if gid in seen:
             raise InvalidInputError(f"duplicate group_id {gid!r}")
         seen.add(gid)
-        if aux is not None and gid not in aux:
-            raise InvalidInputError(f"no auxiliary design for group {gid!r}")
     if not samples:
         return {}
     H1, H2 = stack_averages(samples)
     H2_pop = None
     if aux is not None:
-        H2_pop = np.stack([aux[s.group_id].H2_pop for s in samples])
+        H2_pop = stack_aux(aux, [s.group_id for s in samples])
         if H2_pop.shape != H2.shape:
             raise InvalidInputError(
                 f"auxiliary designs are {H2_pop.shape[1]}-dimensional, "
@@ -133,6 +131,19 @@ def estimate_groups(
         )
         for i, s in enumerate(samples)
     }
+
+
+def stack_aux(
+    aux: Mapping[str, AuxiliaryDesign], group_ids: Sequence[str]
+) -> np.ndarray:
+    """The population Jacobians of the given groups, stacked to (G, k, k).
+
+    Raises if ``aux`` does not cover every group.
+    """
+    for gid in group_ids:
+        if gid not in aux:
+            raise InvalidInputError(f"no auxiliary design for group {gid!r}")
+    return np.stack([aux[gid].H2_pop for gid in group_ids])
 
 
 def ipw_tau(delta_y: np.ndarray, e: np.ndarray, pi: float) -> float:

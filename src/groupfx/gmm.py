@@ -76,6 +76,7 @@ def fit_gmm_pooled_arrays(
     weights: Optional[GmmWeights] = None,
     group_ids: Optional[Sequence[str]] = None,
     rank_tol: float = 1e-10,
+    first_stage: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> FitResult:
     """Pooled GMM fit from stacked per-group moment averages.
 
@@ -85,7 +86,9 @@ def fit_gmm_pooled_arrays(
     weights. Every group participates; ``n_used``/``n_dropped`` still report
     how many sample Jacobians were invertible, for comparison with the
     two-step estimator. Residuals are reported for the groups where the
-    plug-in theta exists.
+    plug-in theta exists. ``first_stage`` passes the (theta, omega) that
+    :func:`estimate_arrays` returns for these H1, H2 and ``rank_tol``, so a
+    caller that already has them does not solve the groups again.
     """
     H1 = np.asarray(H1, dtype=float)
     H2 = np.asarray(H2, dtype=float)
@@ -100,7 +103,9 @@ def fit_gmm_pooled_arrays(
         atilde = H2.transpose(0, 2, 1) @ A @ H2
         c = np.einsum("glk,glr,gr->gk", H2, A, H1)
 
-    theta, omega = estimate_arrays(H1, H2, rank_tol=rank_tol)
+    if first_stage is None:
+        first_stage = estimate_arrays(H1, H2, rank_tol=rank_tol)
+    theta, omega = first_stage
     theta = np.where(omega[:, None].astype(bool), theta, np.nan)
     fit = fit_core(
         theta,

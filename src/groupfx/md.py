@@ -15,7 +15,8 @@ pooled one-step estimator is computed; see :mod:`groupfx.gmm`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -229,30 +230,79 @@ class FitResult:
     normalization against gamma. ``vcov_B`` is the heteroskedasticity-robust
     variance of the basis coefficients (group = one observation block);
     ``vcov_full`` stacks the projected intercept coordinates first, then the
-    basis coefficients. ``lambda_hat`` and ``residuals`` are keyed by group_id
-    and cover the groups for which they are defined.
+    basis coefficients.
+
+    Group-level results are arrays with one row per fitted group, in input
+    order: ``lam`` (rows, q) holds the concentrated group effects and
+    ``resid`` (rows, k) the residuals theta_g - (alpha + gamma lambda_g +
+    B W_g), a NaN row where theta_g is not finite. ``positions`` gives each
+    row's position among the groups passed in, whose ids are ``ids`` (the
+    positions themselves when None). ``lam`` and ``resid`` are None when the
+    fit reports no group-level results.
+
+    ``group_ids``, ``lambda_hat`` and ``residuals`` are read-only views keyed
+    by group id, built on first read; ``residuals`` omits the NaN rows.
     """
 
     B_hat: np.ndarray
     alpha_hat: np.ndarray
     basis_coefs: np.ndarray
     alpha_tilde: np.ndarray
-    lambda_hat: dict[str, np.ndarray]
-    residuals: dict[str, np.ndarray]
+    lam: Optional[np.ndarray]
+    resid: Optional[np.ndarray]
     vcov_B: np.ndarray
     vcov_full: np.ndarray
     n_used: int
     n_dropped: int
+    positions: np.ndarray
     pinv_fallback: bool = False
-    group_ids: list[str] = field(default_factory=list)
+    ids: Optional[Sequence] = None
     _scores: Optional[np.ndarray] = None
-    _score_ids: Optional[list[str]] = None
     _bread: Optional[np.ndarray] = None
     _dims: Optional[tuple[int, int, int]] = None  # (k, p, m)
+    _views: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def coef_std_errors(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diag(self.vcov_B), 0.0, None))
+
+    def _fitted_ids(self) -> tuple[str, ...]:
+        if "ids" not in self._views:
+            pos = self.positions.tolist()
+            ids = pos if self.ids is None else [self.ids[g] for g in pos]
+            self._views["ids"] = tuple(str(g) for g in ids)
+        return self._views["ids"]
+
+    @property
+    def group_ids(self) -> list[str]:
+        return list(self._fitted_ids())
+
+    @property
+    def _score_ids(self) -> list[str]:
+        return self.group_ids
+
+    @property
+    def lambda_hat(self) -> Mapping[str, np.ndarray]:
+        if "lambda_hat" not in self._views:
+            rows = () if self.lam is None else zip(self._fitted_ids(), self.lam)
+            self._views["lambda_hat"] = dict(rows)
+        return MappingProxyType(self._views["lambda_hat"])
+
+    @property
+    def residuals(self) -> Mapping[str, np.ndarray]:
+        if "residuals" not in self._views:
+            rows = {}
+            if self.resid is not None:
+                defined = ~np.all(np.isnan(self.resid), axis=1)
+                rows = {
+                    gid: r
+                    for gid, r, ok in zip(self._fitted_ids(), self.resid, defined)
+                    if ok
+                }
+            self._views["residuals"] = rows
+        return MappingProxyType(self._views["residuals"])
 
 
 def _solve_psd(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -262,9 +312,10 @@ def _solve_psd(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     try:
         sol = np.linalg.solve(A, rhs)
         if np.all(np.isfinite(sol)):
-            # reject solutions from numerically singular systems
+            # reject solutions from numerically singular systems, relative
+            # to A's own scale so that the decision ignores the units of W
             eigs = np.linalg.eigvalsh((A + A.T) / 2.0)
-            if eigs[0] > _EIG_TOL * max(eigs[-1], 1.0) * 1e-4:
+            if eigs[0] > _EIG_TOL * 1e-4 * eigs[-1]:
                 return sol, False
     except np.linalg.LinAlgError:
         pass
@@ -414,17 +465,16 @@ def fit_core(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (G,):
         raise InvalidInputError("group_weights must align with the groups")
+    if group_ids is not None and len(group_ids) != G:
+        raise InvalidInputError("group_ids must align with the groups")
     _design_checks(W, weights, include, spec)
 
-    ids = [str(g) for g in group_ids] if group_ids is not None else [
-        str(i) for i in range(G)
-    ]
     sel = np.flatnonzero(include)
     W_s = W[sel]
     w_s = weights[sel]
+    th_s = theta[sel]
 
     if matrix_weights is None:
-        th_s = theta[sel]
         if not np.all(np.isfinite(th_s)):
             raise InvalidInputError("theta estimates of selected groups must be finite")
         atilde = None
@@ -438,7 +488,6 @@ def fit_core(
         if linear_terms is not None:
             c = np.asarray(linear_terms, dtype=float)[sel] * w_s[:, None]
         else:
-            th_s = theta[sel]
             c = np.einsum("gkl,gl->gk", atilde, th_s)
         Q, d, GAG_pinv = concentrate_weights(atilde, c, spec.gamma)
 
@@ -453,7 +502,7 @@ def fit_core(
                 "qr,rk,gk->gq",
                 np.linalg.pinv(spec.gamma.T @ spec.gamma),
                 spec.gamma.T,
-                theta[sel] - m_hat,
+                th_s - m_hat,
             )
             if spec.q
             else np.zeros((sel.size, 0))
@@ -470,15 +519,8 @@ def fit_core(
     kp = spec.k_proj
     vcov_B = vcov_full[kp:, kp:]
 
-    lambda_hat: dict[str, np.ndarray] = {}
-    residuals: dict[str, np.ndarray] = {}
-    for pos, g in enumerate(sel):
-        gid = ids[g]
-        lambda_hat[gid] = lam[pos]
-        th_row = theta[g]
-        if np.all(np.isfinite(th_row)):
-            fitted = alpha_hat + spec.gamma @ lam[pos] + B_hat @ W[g]
-            residuals[gid] = th_row - fitted
+    resid = th_s - (alpha_hat + lam @ spec.gamma.T + W_s @ B_hat.T)
+    resid[~np.all(np.isfinite(th_s), axis=1)] = np.nan
 
     dropped = int(G - sel.size) if n_dropped is None else int(n_dropped)
     return FitResult(
@@ -486,16 +528,16 @@ def fit_core(
         alpha_hat=alpha_hat,
         basis_coefs=b,
         alpha_tilde=alpha_tilde,
-        lambda_hat=lambda_hat,
-        residuals=residuals,
+        lam=lam,
+        resid=resid,
         vcov_B=vcov_B,
         vcov_full=vcov_full,
         n_used=int(sel.size),
         n_dropped=dropped,
+        positions=sel,
         pinv_fallback=used_pinv,
-        group_ids=[ids[g] for g in sel],
+        ids=group_ids,
         _scores=scores,
-        _score_ids=[ids[g] for g in sel],
         _bread=bread,
         _dims=(spec.k, spec.p, spec.m),
     )

@@ -196,9 +196,8 @@ def selection_bound_audit(
             ]
         )
         deviations[r - 1] = float(np.linalg.norm(delta))
-        resid = np.stack([full.residuals[g] for g in full.group_ids])
         report = md_bias_bound(
-            data.W, omega, resid, spec, residual_source="oracle"
+            data.W, omega, full.resid, spec, residual_source="oracle"
         )
         bounds[r - 1] = report.bound_value
         shares[r - 1] = 1.0 - float(np.mean(omega))

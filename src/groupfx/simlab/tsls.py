@@ -99,11 +99,12 @@ def tsls_pooled(
         alpha_hat=np.array([coefs[0]]),
         basis_coefs=np.array([coefs[1]]),
         alpha_tilde=np.array([coefs[0]]),
-        lambda_hat={},
-        residuals={},
+        lam=None,
+        resid=None,
         vcov_B=vcov[1:, 1:],
         vcov_full=vcov,
         n_used=len(samples),
         n_dropped=0,
-        group_ids=[s.group_id for s in samples],
+        positions=np.arange(len(samples)),
+        ids=[s.group_id for s in samples],
     )

@@ -489,3 +489,47 @@ class TestListArrayParity:
         )
         np.testing.assert_array_equal(fit_list.B_hat, fit_arr.B_hat)
         assert fit_list.group_ids == fit_arr.group_ids
+
+
+class TestArrayBackedResult:
+    """The residual arrays and the id-keyed views of a fit."""
+
+    def _data(self):
+        from groupfx.simlab import load_preset, simulate
+
+        preset = load_preset("selection_demo", G=200)
+        data = simulate(preset.cfg, 1)
+        # ids out of sorted order, so input order is observable
+        ids = [f"g{g}" for g in np.random.default_rng(3).permutation(data.G)]
+        return preset.spec, data, ids
+
+    def test_gmm_residuals_match_per_group_formula(self):
+        spec, data, ids = self._data()
+        theta, omega = gx.first_stage.estimate_arrays(data.H1, data.H2)
+        assert 0 < omega.sum() < data.G  # some NaN theta rows
+        fit = fit_gmm_pooled_arrays(data.H1, data.H2, data.W, spec, group_ids=ids)
+        assert fit.resid.shape == (data.G, spec.k)
+        for g in range(data.G):
+            if omega[g]:
+                expected = theta[g] - (
+                    fit.alpha_hat + spec.gamma @ fit.lam[g] + fit.B_hat @ data.W[g]
+                )
+                np.testing.assert_array_equal(fit.resid[g], expected)
+                np.testing.assert_array_equal(fit.residuals[ids[g]], expected)
+            else:
+                assert np.all(np.isnan(fit.resid[g]))
+        assert set(fit.residuals) == {ids[g] for g in np.flatnonzero(omega)}
+        assert fit.group_ids == ids
+        assert list(fit.lambda_hat) == ids
+
+    def test_md_views_follow_the_fitted_groups(self):
+        spec, data, ids = self._data()
+        theta, omega = gx.first_stage.estimate_arrays(data.H1, data.H2)
+        fit = fit_md_arrays(theta, omega, data.W, spec, group_ids=ids)
+        kept = [ids[g] for g in np.flatnonzero(omega)]
+        assert fit.group_ids == kept == list(fit.lambda_hat) == list(fit.residuals)
+        np.testing.assert_array_equal(fit.positions, np.flatnonzero(omega))
+        with pytest.raises(TypeError):
+            fit.residuals[kept[0]] = np.zeros(spec.k)
+        with pytest.raises(AttributeError):
+            fit.group_ids = []

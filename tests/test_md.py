@@ -353,3 +353,15 @@ class TestPolicyUnits:
         report = gx.md_bias_bound(data.W * c, omega, full, spec)
         assert np.isfinite(report.bound_value) and report.bound_value > 0
         assert report.max_policy_norm == pytest.approx(c, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e10])
+    def test_fallback_ignores_policy_units(self, c):
+        from groupfx.simlab import load_preset, simulate
+
+        preset = load_preset("iv_compliance_demo", G=60)
+        data = simulate(preset.cfg, 1)
+        theta, omega = gx.first_stage.estimate_arrays(data.H1, data.H2)
+        base = fit_md_arrays(theta, omega, data.W, preset.spec)
+        scaled = fit_md_arrays(theta, omega, data.W * c, preset.spec)
+        assert not base.pinv_fallback and not scaled.pinv_fallback
+        np.testing.assert_allclose(scaled.basis_coefs * c, base.basis_coefs, rtol=1e-10)
