@@ -18,15 +18,15 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import (
-    conditioning_summary,
+    conditioning_summary_arrays,
     md_bias_bound,
-    selection_report,
     selection_report_arrays,
 )
 from .exceptions import (
@@ -37,20 +37,15 @@ from .exceptions import (
     ParseError,
 )
 from .estimators import ESTIMATORS, GroupArrays
-from .first_stage import (
-    AuxiliaryDesign,
-    estimate_arrays,
-    estimate_groups,
-    stack_aux,
-)
+from .first_stage import AuxiliaryDesign, estimate_arrays, stack_aux
 from .md import (
     OracleSpec,
     b0_basis_diagonal,
     b0_basis_full,
     b0_basis_scalar,
-    fit_md,
+    fit_md_arrays,
 )
-from .moments import GroupSample, moment_layout, stack_averages
+from .moments import DEFAULT_RANK_TOL, GroupSample, moment_layout, stack_averages
 from .simlab import (
     load_preset,
     run_monte_carlo,
@@ -379,32 +374,26 @@ def _selection_dict(rep) -> dict:
     }
 
 
-def _bound_dict(rep) -> dict:
-    return {
-        "bound_value": rep.bound_value,
-        "kappa": rep.kappa,
-        "lambda_min_M": rep.lambda_min_M,
-        "max_policy_norm": rep.max_policy_norm,
-        "max_residual_norm": rep.max_residual_norm,
-        "dropped_share": rep.dropped_share,
-        "residual_source": rep.residual_source,
-    }
+def _group_rows(arrays: GroupArrays, theta, omega, res=None) -> list[dict]:
+    """Per-group report rows from the first stage and the fit's residuals.
 
-
-def _group_rows(groups) -> list[dict]:
-    """Report rows from (group_id, n_g, omega, theta_hat, residual) tuples.
-
-    ``theta_hat`` and ``residual`` are None where a group has none.
+    ``res`` holds the residuals by input position, NaN rows where undefined.
+    ``theta_hat`` is None for unselected groups, ``residual`` where ``res``
+    has a NaN row or is not given.
     """
+    if res is None:
+        res = np.full((omega.shape[0], 1), np.nan)
+    defined = ~np.all(np.isnan(res), axis=1)
+    cols = [c.tolist() for c in (arrays.n, omega, theta, res, defined)]
     return [
         {
             "group_id": gid,
             "n_g": n_g,
-            "omega": omega,
-            "theta_hat": None if theta is None else [float(x) for x in theta],
-            "residual": None if resid is None else [float(x) for x in resid],
+            "omega": om,
+            "theta_hat": th if om else None,
+            "residual": r if ok else None,
         }
-        for gid, n_g, omega, theta, resid in groups
+        for gid, n_g, om, th, r, ok in zip(arrays.group_ids, *cols)
     ]
 
 
@@ -461,17 +450,19 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
 # subcommands
 
 def _load_data(cfg: dict, command: str):
-    """Ingest the configured files and resolve the design against them."""
+    """Ingest the files, resolve the design and stack the group averages."""
     io = cfg.get("io", {})
     for key in ("units", "policy"):
         if key not in io:
             raise ConfigError(f"io.{key} is required for {command}")
-    rank_tol = float(cfg.get("rank_tol", 1e-10))
+    rank_tol = float(cfg.get("rank_tol", DEFAULT_RANK_TOL))
     samples, W, n_by_group, fw = ingest_units(io["units"], io["policy"])
     design = dict(cfg.get("design", {}))
     design["_p"] = W.shape[1]
     spec = _resolve_design(design, samples[0].k, n_by_group, fw)
-    return io, rank_tol, samples, W, n_by_group, spec
+    H1, H2 = stack_averages(samples)
+    ids = [s.group_id for s in samples]
+    return io, rank_tol, GroupArrays(H1, H2, n_by_group, W, group_ids=ids), spec
 
 
 def cmd_estimate(args) -> int:
@@ -481,26 +472,22 @@ def cmd_estimate(args) -> int:
     if method not in _METHODS:
         raise ConfigError(f"'method' must be one of {_METHODS}, got {method!r}")
     estimator = ESTIMATORS[method]
-    io, rank_tol, samples, W, n_by_group, spec = _load_data(cfg, "estimate")
-
-    ids = [s.group_id for s in samples]
-    H2_pop = None
+    io, rank_tol, arrays, spec = _load_data(cfg, "estimate")
     if estimator.needs_aux:
         if "aux" not in io:
             raise ConfigError(f"io.aux is required for method {method!r}")
-        H2_pop = stack_aux(load_aux_designs(io["aux"], spec.k, rank_tol), ids)
-    H1, H2 = stack_averages(samples)
-    arrays = GroupArrays(H1, H2, n_by_group, W, H2_pop=H2_pop, group_ids=ids)
+        aux = load_aux_designs(io["aux"], spec.k, rank_tol)
+        arrays = arrays._replace(H2_pop=stack_aux(aux, arrays.group_ids))
     result = estimator.run(arrays, spec, rank_tol)
     fit = result.fit
     # the selection report and group rows share the entry's first stage
     theta, omega = result.theta, result.omega
     if omega is None:
-        theta, omega = estimate_arrays(H1, H2, rank_tol=rank_tol, H2_pop=H2_pop)
-    res = None if fit is None else _input_residuals(fit, len(ids))
+        theta, omega = estimate_arrays(arrays.H1, arrays.H2, rank_tol=rank_tol)
+    res = None if fit is None else _input_residuals(fit, omega.shape[0])
 
     sel = selection_report_arrays(omega)
-    bound = None if fit is None else _proxy_bound(W, omega, res, spec)
+    bound = None if fit is None else _proxy_bound(arrays.W, omega, res, spec)
 
     coef_rows = [
         {"name": name, "estimate": float(value), "std_error": float(se)}
@@ -512,20 +499,11 @@ def cmd_estimate(args) -> int:
         "config": _echo_config(cfg),
         "coefficients": coef_rows,
         "selection": _selection_dict(sel),
-        "bias_bound": None if bound is None else _bound_dict(bound),
+        "bias_bound": None if bound is None else asdict(bound),
         "timing": {"seconds": time.perf_counter() - t0},
     }
     if cfg.get("report", {}).get("per_group"):
-        resid = [None] * len(ids)
-        if res is not None:
-            defined = ~np.all(np.isnan(res), axis=1)
-            resid = [r if ok else None for r, ok in zip(res.tolist(), defined)]
-        report["groups"] = _group_rows(
-            (gid, n_g, om, th if om else None, r)
-            for gid, n_g, om, th, r in zip(
-                ids, n_by_group.tolist(), omega.tolist(), theta.tolist(), resid
-            )
-        )
+        report["groups"] = _group_rows(arrays, theta, omega, res)
     _emit(report, args.out or io.get("out"))
     if not args.json_only:
         print(f"method: {method}   groups: {sel.G}   dropped: {sel.dropped}")
@@ -556,7 +534,7 @@ def cmd_simulate(args) -> int:
     estimators = cfg.get("estimators")
     if estimators is None:
         estimators = ["oracle", "md", "tsls_pooled" if preset.cfg.kind == "iv" else "gmm"]
-    rank_tol = float(cfg.get("rank_tol", 1e-10))
+    rank_tol = float(cfg.get("rank_tol", DEFAULT_RANK_TOL))
 
     summaries = run_monte_carlo(
         preset.cfg, estimators, R, spec=preset.spec, rank_tol=rank_tol
@@ -610,17 +588,14 @@ def cmd_simulate(args) -> int:
 def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config, "diagnose")
-    io, rank_tol, samples, W, n_by_group, spec = _load_data(cfg, "diagnose")
-
-    estimates = estimate_groups(samples, rank_tol=rank_tol)
-    est_list = list(estimates.values())
-    sel = selection_report(est_list)
-    cond = conditioning_summary(est_list)
-
-    omega = np.array([e.omega for e in est_list])
+    io, rank_tol, arrays, spec = _load_data(cfg, "diagnose")
+    theta, omega = estimate_arrays(arrays.H1, arrays.H2, rank_tol=rank_tol)
+    sel = selection_report_arrays(omega)
+    cond = conditioning_summary_arrays(arrays.H2, omega)
     try:
-        fit = fit_md(est_list, W, spec)
-        bound = _proxy_bound(W, omega, _input_residuals(fit, len(est_list)), spec)
+        fit = fit_md_arrays(theta, omega, arrays.W, spec)
+        res = _input_residuals(fit, omega.shape[0])
+        bound = _proxy_bound(arrays.W, omega, res, spec)
     except (DesignDeficientError, InvalidInputError):
         bound = None
 
@@ -630,13 +605,11 @@ def cmd_diagnose(args) -> int:
         "config": _echo_config(cfg),
         "selection": _selection_dict(sel),
         "conditioning": None if cond is None else dict(cond),
-        "bias_bound": None if bound is None else _bound_dict(bound),
+        "bias_bound": None if bound is None else asdict(bound),
         "timing": {"seconds": time.perf_counter() - t0},
     }
     if cfg.get("report", {}).get("per_group"):
-        report["groups"] = _group_rows(
-            (gid, e.n_g, e.omega, e.theta_hat, None) for gid, e in estimates.items()
-        )
+        report["groups"] = _group_rows(arrays, theta, omega)
     _emit(report, args.out or io.get("out"))
     if not args.json_only:
         print(

@@ -14,16 +14,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateScenarioError,
-    DesignDeficientError,
-    InvalidInputError,
-)
+from .exceptions import DesignDeficientError, InvalidInputError
 from .first_stage import GroupEstimate
-from .md import OracleSpec
+from .gmm import weighted_slope
+from .md import _EIG_TOL, OracleSpec
 from .moments import design_singular
-
-_EIG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -182,26 +177,26 @@ def banking_bias(
     if np.any(pr < 0) or abs(float(np.sum(pr)) - 1.0) > 1e-12:
         raise InvalidInputError("state probabilities must form a distribution")
     w = np.array([banking_weight(a, b) for a, b in zip(pa, pb)])
-    mass = float(np.sum(pr * w))
-    if mass <= 0.0:
-        raise DegenerateScenarioError("all states carry zero effective weight")
-    mu_w = float(np.sum(pr * w * dw) / mass)
-    mu_u = float(np.sum(pr * w * du) / mass)
-    var_w = float(np.sum(pr * w * (dw - mu_w) ** 2) / mass)
-    if var_w <= 0.0:
-        raise DegenerateScenarioError("weighted policy variance is zero")
-    cov = float(np.sum(pr * w * (du - mu_u) * (dw - mu_w)) / mass)
-    return cov / var_w
+    return weighted_slope(du, dw, pr * w)
 
 
 def conditioning_summary(
     estimates: Sequence[GroupEstimate],
 ) -> Optional[Mapping[str, float]]:
     """Smallest-singular-value summary of the selected sample Jacobians."""
-    selected = [e.H2_hat for e in estimates if e.omega == 1]
-    if not selected:
+    return conditioning_summary_arrays(
+        np.array([e.H2_hat for e in estimates]), [e.omega for e in estimates]
+    )
+
+
+def conditioning_summary_arrays(
+    H2: np.ndarray, omega: np.ndarray
+) -> Optional[Mapping[str, float]]:
+    """:func:`conditioning_summary` from stacked H2 (G, k, k) and omega (G,)."""
+    selected = np.asarray(H2)[np.asarray(omega) == 1]
+    if not selected.shape[0]:
         return None
-    arr = np.linalg.svd(np.stack(selected), compute_uv=False)[:, -1]
+    arr = np.linalg.svd(selected, compute_uv=False)[:, -1]
     return {
         "min_smallest_singular_value": float(np.min(arr)),
         "median_smallest_singular_value": float(np.median(arr)),

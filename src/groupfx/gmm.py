@@ -26,10 +26,24 @@ from .exceptions import (
     UnsupportedScenarioError,
 )
 from .first_stage import estimate_arrays
-from .md import FitResult, OracleSpec, concentrate_weights, fit_core
-from .moments import GroupSample, stack_averages
+from .md import _EIG_TOL, FitResult, OracleSpec, concentrate_weights, fit_core
+from .moments import DEFAULT_RANK_TOL, GroupSample, stack_averages
 
 _SYM_TOL = 1e-12
+
+
+def _check_psd_stack(A: np.ndarray, psd_tol: float, what: str) -> None:
+    """Reject a (n, k, k) stack that is not symmetric PSD at its own scale.
+
+    The asymmetry is measured against the largest entry and the most
+    negative eigenvalue against the largest eigenvalue magnitude, so the
+    decision does not depend on the units of the matrices.
+    """
+    if np.max(np.abs(A - A.transpose(0, 2, 1))) > _SYM_TOL * np.max(np.abs(A)):
+        raise InvalidInputError(f"{what} must be symmetric")
+    eigs = np.linalg.eigvalsh((A + A.transpose(0, 2, 1)) / 2.0)
+    if np.min(eigs) < -psd_tol * np.max(np.abs(eigs)):
+        raise InvalidInputError(f"{what} must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -50,13 +64,7 @@ class GmmWeights:
         A = np.asarray(self.matrices, dtype=float)
         if A.ndim != 3 or A.shape[1] != A.shape[2]:
             raise InvalidInputError("weight matrices must be a (G, k, k) stack")
-        if np.max(np.abs(A - A.transpose(0, 2, 1))) > _SYM_TOL * max(
-            1.0, float(np.max(np.abs(A)))
-        ):
-            raise InvalidInputError("weight matrices must be symmetric")
-        eigs = np.linalg.eigvalsh((A + A.transpose(0, 2, 1)) / 2.0)
-        if np.min(eigs) < -1e-12 * max(1.0, float(np.max(np.abs(eigs)))):
-            raise InvalidInputError("weight matrices must be positive semidefinite")
+        _check_psd_stack(A, 1e-12, "weight matrices")
         object.__setattr__(self, "matrices", A)
         object.__setattr__(self, "preset", "custom")
 
@@ -75,7 +83,7 @@ def fit_gmm_pooled_arrays(
     spec: OracleSpec,
     weights: Optional[GmmWeights] = None,
     group_ids: Optional[Sequence[str]] = None,
-    rank_tol: float = 1e-10,
+    rank_tol: float = DEFAULT_RANK_TOL,
     first_stage: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> FitResult:
     """Pooled GMM fit from stacked per-group moment averages.
@@ -127,7 +135,7 @@ def fit_gmm_pooled(
     policies: np.ndarray,
     spec: OracleSpec,
     weights: Optional[GmmWeights] = None,
-    rank_tol: float = 1e-10,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> FitResult:
     """Pooled GMM fit from raw group samples; see :func:`fit_gmm_pooled_arrays`."""
     if not samples:
@@ -174,14 +182,7 @@ class DiscreteScenario:
             raise InvalidInputError("state probabilities must be nonnegative")
         if abs(float(np.sum(prob)) - 1.0) > 1e-12:
             raise InvalidInputError("state probabilities must sum to 1")
-        sym_gap = np.max(np.abs(atilde - atilde.transpose(0, 2, 1)))
-        if sym_gap > _SYM_TOL * max(1.0, float(np.max(np.abs(atilde)))):
-            raise InvalidInputError("effective weight matrices must be symmetric")
-        eigs = np.linalg.eigvalsh((atilde + atilde.transpose(0, 2, 1)) / 2.0)
-        if np.min(eigs) < -1e-9 * max(1.0, float(np.max(np.abs(eigs)))):
-            raise InvalidInputError(
-                "effective weight matrices must be positive semidefinite"
-            )
+        _check_psd_stack(atilde, 1e-9, "effective weight matrices")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "atilde", atilde)
@@ -252,7 +253,7 @@ def _population_blocks(scn: DiscreteScenario):
     p = scn.prob
     H11 = np.einsum("s,sab->ab", p, Qc)
     eigs = np.linalg.eigvalsh(H11)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
+    if eigs[0] <= _EIG_TOL * eigs[-1]:
         raise DegenerateScenarioError(
             "population intercept system is singular; no state gives the "
             "projected coordinates positive weight"
@@ -337,6 +338,24 @@ def consistency_condition(scn: DiscreteScenario) -> np.ndarray:
     mean_W = np.einsum("s,si->i", pr, scn.W)
     cov = np.einsum("s,sa,si->ai", pr, weighted, scn.W) - np.outer(mean_w, mean_W)
     return U @ cov
+
+
+def weighted_slope(y: np.ndarray, x: np.ndarray, weight: np.ndarray) -> float:
+    """Slope of the weighted regression of y on x over a finite support.
+
+    Cov_w[y, x] / Var_w[x] with nonnegative state masses ``weight`` (they
+    need not sum to 1), evaluated as sum w y (x - mu) / sum w x (x - mu).
+    A variance that vanishes next to sum w x^2 counts as zero, so the
+    decision does not depend on the units of x.
+    """
+    mass = float(np.sum(weight))
+    if mass <= 0.0:
+        raise DegenerateScenarioError("all states carry zero weight")
+    dx = x - float(np.sum(weight * x) / mass)
+    denom = float(np.sum(weight * x * dx))
+    if denom <= _EIG_TOL * float(np.sum(weight * x * x)):
+        raise DegenerateScenarioError("weighted variance of the regressor is zero")
+    return float(np.sum(weight * y * dx)) / denom
 
 
 @dataclass(frozen=True)

@@ -280,10 +280,6 @@ class FitResult:
         return list(self._fitted_ids())
 
     @property
-    def _score_ids(self) -> list[str]:
-        return self.group_ids
-
-    @property
     def lambda_hat(self) -> Mapping[str, np.ndarray]:
         if "lambda_hat" not in self._views:
             rows = () if self.lam is None else zip(self._fitted_ids(), self.lam)

@@ -17,6 +17,7 @@ from ..estimators import ESTIMATORS, GroupArrays
 from ..exceptions import ConfigError
 from ..first_stage import estimate_arrays
 from ..md import OracleSpec, fit_md_arrays
+from ..moments import DEFAULT_RANK_TOL
 from .dgp import ScenarioConfig, simulate
 
 _Z95 = 1.959963984540054
@@ -80,7 +81,7 @@ def run_replications(
     estimators: Sequence[str],
     R: int,
     spec: Optional[OracleSpec] = None,
-    rank_tol: float = 1e-10,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> dict[str, dict[str, np.ndarray]]:
     """Raw per-replication draws for each estimator tag.
 
@@ -149,7 +150,7 @@ def run_monte_carlo(
     estimators: Sequence[str],
     R: int,
     spec: Optional[OracleSpec] = None,
-    rank_tol: float = 1e-10,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> list[McSummary]:
     """Run R replications of a scenario and summarize each estimator.
 
@@ -167,7 +168,7 @@ def selection_bound_audit(
     cfg: ScenarioConfig,
     R: int,
     spec: Optional[OracleSpec] = None,
-    rank_tol: float = 1e-10,
+    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> dict[str, np.ndarray]:
     """Check the discarded-group bound on every replication of a scenario.
 

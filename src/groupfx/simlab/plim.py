@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from ..exceptions import UnsupportedScenarioError
-from ..gmm import DiscreteScenario
+from ..gmm import DiscreteScenario, weighted_slope
 from ..md import OracleSpec
 from .dgp import ScenarioConfig, composition_att
 
@@ -149,15 +149,7 @@ def iv_pooled_tsls_bias(cfg: ScenarioConfig) -> float:
     pr = np.asarray(prs)
     pi = cfg.selection_prob(alpha_eff, W)
     C = pi * 0.25  # instrument variance of a fair coin
-    mass = float(np.sum(pr * C))
-    if mass <= 0.0:
-        raise UnsupportedScenarioError("no compliance anywhere in the population")
-    mu_w = float(np.sum(pr * C * W) / mass)
-    denom = float(np.sum(pr * C * W * (W - mu_w)))
-    if abs(denom) < 1e-14:
-        raise UnsupportedScenarioError("compliance-weighted policy variance is zero")
-    numer = float(np.sum(pr * C * alpha_eff * (W - mu_w)))
-    return numer / denom
+    return weighted_slope(alpha_eff, W, pr * C)
 
 
 def composition_truth(cfg: ScenarioConfig) -> dict[str, float]:
@@ -178,15 +170,7 @@ def composition_truth(cfg: ScenarioConfig) -> dict[str, float]:
     intercept = tau00
 
     wvals, wprobs = cfg.policy_support()
-    w1 = wvals[:, 0]
-    w2 = wvals[:, 1]
-    mu1 = float(np.sum(wprobs * w1))
-    mu2 = float(np.sum(wprobs * w2))
-    var2 = float(np.sum(wprobs * (w2 - mu2) ** 2))
-    cov12 = float(np.sum(wprobs * (w1 - mu1) * (w2 - mu2)))
-    if var2 <= 0.0:
-        raise UnsupportedScenarioError("second policy coordinate has no variance")
-    omitted_slope = beta2 + beta1 * cov12 / var2
+    omitted_slope = beta2 + beta1 * weighted_slope(wvals[:, 0], wvals[:, 1], wprobs)
     return {
         "intercept": intercept,
         "beta1": beta1,

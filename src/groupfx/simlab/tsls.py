@@ -16,6 +16,7 @@ import numpy as np
 from ..exceptions import DesignDeficientError, InvalidInputError
 from ..md import FitResult
 from ..moments import (
+    DEFAULT_RANK_TOL,
     GroupSample,
     average_moments,
     design_singular,
@@ -24,7 +25,9 @@ from ..moments import (
 )
 
 
-def tsls_group(sample: GroupSample, rank_tol: float = 1e-10) -> Optional[np.ndarray]:
+def tsls_group(
+    sample: GroupSample, rank_tol: float = DEFAULT_RANK_TOL
+) -> Optional[np.ndarray]:
     """Exactly identified within-group instrumented estimate.
 
     Shares the contract of :func:`groupfx.moments.solve_theta`: None when the

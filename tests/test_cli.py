@@ -420,6 +420,33 @@ class TestDiagnoseCommand:
         assert "groups:" in capsys.readouterr().out
 
 
+    def test_per_group_rows_match_estimate(self, tmp_path):
+        # g2 has no event, so the first stage drops it
+        _write(
+            tmp_path / "units.csv",
+            "group_id,delta_y,e\n"
+            "g1,1.0,0\ng1,3.0,1\n"
+            "g2,1.0,0\ng2,2.0,0\n"
+            "g3,1.0,0\ng3,7.0,1\n"
+            "g4,0.5,0\ng4,6.5,1\n",
+        )
+        _write(tmp_path / "policy.csv", "group_id,w_1\ng1,0.0\ng2,1.0\ng3,2.0\ng4,1.0\n")
+        io = {"units": str(tmp_path / "units.csv"), "policy": str(tmp_path / "policy.csv")}
+        reports = {}
+        for command, extra in (("estimate", {"method": "md"}), ("diagnose", {})):
+            out = tmp_path / f"{command}.json"
+            cfg = _config(
+                tmp_path, f"{command}.cfg.json", io=io, design=_design(),
+                report={"per_group": True}, **extra,
+            )
+            assert main([command, "--config", cfg, "--out", str(out), "--json-only"]) == 0
+            reports[command] = _validated_report(out)
+        est, diag = reports["estimate"], reports["diagnose"]
+        assert diag["selection"]["dropped"] == 1
+        assert diag["groups"] == [dict(r, residual=None) for r in est["groups"]]
+        assert diag["bias_bound"] == est["bias_bound"]
+
+
 class TestWeightModes:
     def _base(self, tmp_path, n2=4):
         # group g2 gets extra units so size weighting is distinguishable

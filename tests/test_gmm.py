@@ -105,6 +105,41 @@ class TestGmmWeights:
             gx.GmmWeights(matrices=A)
 
 
+class TestScaleRelativeWeightCheck:
+    # GmmWeights and DiscreteScenario share one check, relative to the stack
+    @staticmethod
+    def _build(kind, atilde):
+        if kind == "weights":
+            return gx.GmmWeights(matrices=atilde)
+        S = atilde.shape[0]
+        return DiscreteScenario(
+            W=np.arange(S, dtype=float),
+            alpha=np.zeros((S, 2)),
+            atilde=atilde,
+            prob=np.full(S, 1.0 / S),
+            B0_true=np.zeros((2, 1)),
+            gamma=np.zeros((2, 0)),
+            b0_basis=(np.array([[0.0], [1.0]]),),
+        )
+
+    @pytest.mark.parametrize("kind", ["weights", "scenario"])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.diag([1.0, -1e-4]), np.array([[1.0, 1e-6], [0.0, 1.0]])],
+        ids=["indefinite", "asymmetric"],
+    )
+    def test_small_invalid_stack_rejected(self, kind, bad):
+        with pytest.raises(InvalidInputError):
+            self._build(kind, 1e-8 * bad[None])
+
+    @pytest.mark.parametrize("kind", ["weights", "scenario"])
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_rescaled_valid_stack_accepted(self, kind, scale):
+        # one positive definite and one singular PSD matrix
+        stack = np.array([[[2.0, 0.5], [0.5, 1.0]], [[0.25, 0.25], [0.25, 0.25]]])
+        self._build(kind, scale * stack)
+
+
 class TestFitGmmPooled:
     def test_constant_jacobians_match_md(self, rng):
         # identical sample Jacobians: the effective weights are constant and

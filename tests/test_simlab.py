@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,22 @@ class TestTslsPooled:
         c = draws["tsls_pooled"]["coefs"][:, 0]
         mc_se = c.std(ddof=1) / np.sqrt(c.size)
         assert abs(c.mean() - 0.4) < 4 * mc_se
+
+    @pytest.mark.parametrize("s", [1e-7, 1e5])
+    def test_plim_bias_follows_policy_units(self, s):
+        # W scaled by s and the link slope by 1/s leave the compliance
+        # weights alone, so the slope bias scales by exactly 1/s
+        base = load_preset("iv_compliance_demo").cfg
+
+        def bias(scale):
+            cfg = dataclasses.replace(
+                base,
+                policy_law=("grid", (0.0, scale), (0.5, 0.5)),
+                selection_link=("logistic", 0.2, 0.7, 0.9 / scale),
+            )
+            return iv_pooled_tsls_bias(cfg)
+
+        assert bias(s) * s == pytest.approx(bias(1.0), rel=1e-12)
 
     def test_rank_failure_raises(self):
         cfg = _did_cfg(kind="iv", G=8, policy_law=("grid", (1.0,), (1.0,)))
@@ -354,6 +372,14 @@ class TestGmmLimitCases:
         bias = gx.gmm_plim(scn)["bias"]
         np.testing.assert_allclose(bias, 0.0, atol=1e-10)
         np.testing.assert_allclose(gx.consistency_condition(scn), 0.0, atol=1e-10)
+
+    def test_limit_ignores_weight_units(self):
+        preset = load_preset("gmm_bias_demo")
+        scn = did_gmm_scenario(preset.cfg, preset.spec)
+        scaled = dataclasses.replace(scn, atilde=scn.atilde * 1e-12)
+        np.testing.assert_allclose(
+            gx.gmm_plim(scaled)["bias"], gx.gmm_plim(scn)["bias"], rtol=1e-12, atol=0
+        )
 
     def test_heterogeneity_with_policy_dependent_weights_biased(self):
         # the shipped demonstration scenario: both channels active
