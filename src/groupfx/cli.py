@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
+from array import array
 from dataclasses import asdict
 from typing import Optional, Sequence
 
@@ -45,7 +47,7 @@ from .md import (
     b0_basis_scalar,
     fit_md_arrays,
 )
-from .moments import DEFAULT_RANK_TOL, GroupSample, moment_layout, stack_averages
+from .moments import DEFAULT_RANK_TOL, group_samples, stack_averages
 from .simlab import (
     load_preset,
     run_monte_carlo,
@@ -111,9 +113,9 @@ def load_config(path: str, command: str) -> dict:
 
 
 def _resolve_design(
-    design: Optional[dict], k: int, n_by_group: Optional[np.ndarray], weights_file
+    design: Optional[dict], k: int, p: int, n_by_group: Optional[np.ndarray], weights_file
 ) -> OracleSpec:
-    design = dict(design or {})
+    design = design or {}
     gamma_spec = design.get("gamma", "none")
     if isinstance(gamma_spec, str):
         if gamma_spec == "none":
@@ -132,12 +134,9 @@ def _resolve_design(
             raise ConfigError(f"gamma has {gamma.shape[0]} rows, data has k={k}")
 
     b0_spec = design.get("b0", "full")
-    p_hint = design.get("_p")  # set by callers that know the policy dimension
     if isinstance(b0_spec, str):
         if b0_spec == "full":
-            if p_hint is None:
-                raise ConfigError("cannot resolve the 'full' effect basis without data")
-            basis = b0_basis_full(k, int(p_hint))
+            basis = b0_basis_full(k, p)
         elif b0_spec == "scalar":
             basis = b0_basis_scalar(k)
         elif b0_spec == "diagonal":
@@ -180,9 +179,78 @@ def _parse_float(raw: str, path: str, row: int, col: str) -> float:
         raise ParseError(
             f"{path}:{row}: column {col!r} has non-numeric value {raw!r}"
         ) from exc
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise ParseError(f"{path}:{row}: column {col!r} is not finite ({raw!r})")
     return val
+
+
+def _read_table(path: str, what: str, columns) -> tuple[list, list, np.ndarray]:
+    """Read a CSV of a ``group_id`` column and numeric columns.
+
+    ``columns`` maps the header to the names of the numeric columns and
+    raises ValueError, with the reason, when the header is unfit. Blank lines
+    are skipped, and data row r (counting from 0) is reported as row r + 2.
+    Every row needs one field per header column, a nonempty ``group_id`` and
+    finite numbers. Returns the stripped ids, the numeric column names and a
+    (rows, columns) array.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot open {what} file {path}: {exc}") from exc
+    ids: list[str] = []
+    values = array("d")  # 8 bytes a number, not a float object each
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if len(set(header)) < len(header):
+                raise ValueError(f"repeated column name in header {header}")
+            names = columns(header)
+            width, at_id = len(header), header.index("group_id")
+            at = [(header.index(c), c) for c in names]
+            for i, row in enumerate(filter(None, reader), start=2):
+                if len(row) != width:
+                    raise ParseError(f"{path}:{i}: expected {width} fields, got {len(row)}")
+                ids.append(sys.intern(row[at_id].strip()))  # one copy of each id
+                if not ids[-1]:
+                    raise ParseError(f"{path}:{i}: empty group_id")
+                values.extend([_parse_float(row[j], path, i, c) for j, c in at])
+        except (csv.Error, ValueError) as exc:  # an unfit header or undecodable text
+            raise ParseError(f"{path}: {exc}") from exc
+    return ids, names, np.array(values).reshape(len(ids), len(names))
+
+
+def _positions(ids: list[str], path: str) -> dict[str, int]:
+    """Each id's row position; an id may appear once."""
+    pos: dict[str, int] = {}
+    for r, gid in enumerate(ids):
+        if pos.setdefault(gid, r) != r:
+            raise ParseError(f"{path}:{r + 2}: duplicate group_id {gid!r}")
+    return pos
+
+
+def _units_columns(header: list[str]) -> list[str]:
+    required = ["group_id", "delta_y", "e"]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ValueError(f"missing required column(s) {missing}")
+    extra = [c for c in header if c not in required + ["z", "weight"]]
+    if extra:
+        raise ValueError(f"unrecognized column(s) {extra}")
+    return [c for c in ("delta_y", "e", "z", "weight") if c in header]
+
+
+def _policy_columns(header: list[str]) -> list[str]:
+    if "group_id" not in header:
+        raise ValueError("missing required column 'group_id'")
+    wcols = [c for c in header if c != "group_id"]
+    expected = [f"w_{j + 1}" for j in range(len(wcols))]
+    if wcols != expected:
+        raise ValueError(f"policy columns must be {expected}, got {wcols}")
+    if not wcols:
+        raise ValueError("needs at least one policy column")
+    return wcols
 
 
 def ingest_units(units_path: str, policy_path: str):
@@ -193,171 +261,79 @@ def ingest_units(units_path: str, policy_path: str):
     per-group sizes, and the per-group weight column when present (it must be
     constant within a group). The event column decides the moment design:
     with a ``z`` column, instrumented moments are built; without it, the
-    difference-design moments.
+    difference-design moments. Within a group, units keep their file order.
     """
-    groups: dict[str, dict[str, list]] = {}
-    order: list[str] = []
-    has_z = False
-    has_weight = False
-    try:
-        fh = open(units_path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open units file {units_path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        required = ["group_id", "delta_y", "e"]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ParseError(f"{units_path}: missing required column(s) {missing}")
-        extra = [c for c in header if c not in required + ["z", "weight"]]
-        if extra:
-            raise ParseError(f"{units_path}: unrecognized column(s) {extra}")
-        has_z = "z" in header
-        has_weight = "weight" in header
-        for i, row in enumerate(reader, start=2):
-            gid = (row.get("group_id") or "").strip()
-            if not gid:
-                raise ParseError(f"{units_path}:{i}: empty group_id")
-            if any(row.get(c) in (None, "") for c in required):
-                raise ParseError(f"{units_path}:{i}: missing required field")
-            dy = _parse_float(row["delta_y"], units_path, i, "delta_y")
-            e = _parse_float(row["e"], units_path, i, "e")
-            z = _parse_float(row["z"], units_path, i, "z") if has_z else None
-            w = (
-                _parse_float(row["weight"], units_path, i, "weight")
-                if has_weight and row.get("weight") not in (None, "")
-                else None
-            )
-            if has_weight and w is None:
-                raise ParseError(f"{units_path}:{i}: missing weight value")
-            if gid not in groups:
-                groups[gid] = {"dy": [], "e": [], "z": [], "w": []}
-                order.append(gid)
-            rec = groups[gid]
-            rec["dy"].append(dy)
-            rec["e"].append(e)
-            if has_z:
-                rec["z"].append(z)
-            if has_weight:
-                rec["w"].append(w)
-    if not order:
+    ids, names, values = _read_table(units_path, "units", _units_columns)
+    if not ids:
         raise ParseError(f"{units_path}: no data rows")
+    first: dict[str, int] = {}
+    code = np.array([first.setdefault(g, len(first)) for g in ids])
+    order = list(first)
+    n_by_group = np.bincount(code)
 
-    policy: dict[str, list[float]] = {}
-    p_dim: Optional[int] = None
-    try:
-        fh = open(policy_path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open policy file {policy_path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if "group_id" not in header:
-            raise ParseError(f"{policy_path}: missing required column 'group_id'")
-        wcols = [c for c in header if c != "group_id"]
-        expected = [f"w_{j + 1}" for j in range(len(wcols))]
-        if wcols != expected:
-            raise ParseError(
-                f"{policy_path}: policy columns must be {expected}, got {wcols}"
-            )
-        if not wcols:
-            raise ParseError(f"{policy_path}: needs at least one policy column")
-        p_dim = len(wcols)
-        for i, row in enumerate(reader, start=2):
-            gid = (row.get("group_id") or "").strip()
-            if not gid:
-                raise ParseError(f"{policy_path}:{i}: empty group_id")
-            if gid in policy:
-                raise ParseError(f"{policy_path}:{i}: duplicate group_id {gid!r}")
-            policy[gid] = [
-                _parse_float(row[c], policy_path, i, c) for c in wcols
-            ]
-
-    orphans = [g for g in order if g not in policy]
+    policy_ids, _, policy = _read_table(policy_path, "policy", _policy_columns)
+    pos = _positions(policy_ids, policy_path)
+    orphans = [g for g in order if g not in pos]
     if orphans:
         raise ParseError(
             f"{units_path}: group(s) {orphans[:5]} absent from the policy file "
             f"{policy_path}"
         )
+    W = policy[[pos[g] for g in order]]
 
-    samples: list[GroupSample] = []
-    weights = [] if has_weight else None
-    for gid in order:
-        rec = groups[gid]
-        h1, h2 = moment_layout(
-            np.asarray(rec["dy"]),
-            np.asarray(rec["e"]),
-            np.asarray(rec["z"]) if has_z else None,
-        )
-        samples.append(GroupSample(group_id=gid, h1s=h1, h2s=h2))
-        if has_weight:
-            wvals = set(rec["w"])
-            if len(wvals) != 1:
-                raise ParseError(
-                    f"{units_path}: weight column varies within group {gid!r}"
-                )
-            weights.append(rec["w"][0])
-
-    W = np.asarray([policy[g] for g in order], dtype=float)
-    n_by_group = np.asarray([s.n_g for s in samples])
-    fw = np.asarray(weights, dtype=float) if weights is not None else None
+    perm = np.argsort(code, kind="stable")
+    cols = dict(zip(names, values[perm].T))
+    fw = None
+    if "weight" in cols:
+        fw = cols["weight"][np.cumsum(n_by_group) - n_by_group]  # each group's first
+        varies = np.flatnonzero(cols["weight"] != np.repeat(fw, n_by_group))
+        if varies.size:
+            i = int(perm[varies[0]])
+            raise ParseError(
+                f"{units_path}:{i + 2}: weight column varies within group {ids[i]!r}"
+            )
+    samples = group_samples(order, n_by_group, cols["delta_y"], cols["e"], cols.get("z"))
     return samples, W, n_by_group, fw
 
 
 def load_aux_designs(path: str, k: int, rank_tol: float) -> dict[str, AuxiliaryDesign]:
     """Read per-group population Jacobians (row-major h2_11..h2_kk columns)."""
     expected = [f"h2_{i + 1}{j + 1}" for i in range(k) for j in range(k)]
-    out: dict[str, AuxiliaryDesign] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open auxiliary file {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+
+    def columns(header: list[str]) -> list[str]:
         if header != ["group_id"] + expected:
-            raise ParseError(
-                f"{path}: header must be group_id,{','.join(expected)}"
-            )
-        for i, row in enumerate(reader, start=2):
-            gid = (row.get("group_id") or "").strip()
-            vals = [_parse_float(row[c], path, i, c) for c in expected]
-            H2 = np.asarray(vals).reshape(k, k)
-            try:
-                out[gid] = AuxiliaryDesign(H2_pop=H2, rank_tol=rank_tol)
-            except InvalidInputError as exc:
-                raise ParseError(f"{path}:{i}: {exc}") from exc
+            raise ValueError(f"header must be group_id,{','.join(expected)}")
+        return expected
+
+    ids, _, values = _read_table(path, "auxiliary", columns)
+    _positions(ids, path)
+    H2 = values.reshape(-1, k, k)
+    out: dict[str, AuxiliaryDesign] = {}
+    for i, (gid, h2) in enumerate(zip(ids, H2), start=2):
+        try:
+            out[gid] = AuxiliaryDesign(H2_pop=h2, rank_tol=rank_tol)
+        except InvalidInputError as exc:
+            raise ParseError(f"{path}:{i}: {exc}") from exc
     return out
-
-
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
 
 
 def export_units(data, prefix: str) -> tuple[str, str]:
     """Write one replication to the unit/policy CSV schema."""
     units_path = f"{prefix}.units.csv"
     policy_path = f"{prefix}.policy.csv"
-    ids = data.group_ids()
-    gi = data.units["group_index"]
-    dy = data.units["delta_y"]
-    e = data.units["e"]
-    z = data.units.get("z")
+    ids = np.asarray(data.group_ids())
+    names = ["delta_y", "e"] + (["z"] if "z" in data.units else [])
+    # str(float) is the shortest repr, so the floats read back bit for bit
+    cols = [data.units[c].tolist() for c in names]
     with open(units_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["group_id", "delta_y", "e"] + (["z"] if z is not None else []))
-        for i in range(dy.shape[0]):
-            row = [ids[int(gi[i])], _fmt_float(dy[i]), int(e[i])]
-            if z is not None:
-                row.append(int(z[i]))
-            writer.writerow(row)
+        writer.writerow(["group_id"] + names)
+        writer.writerows(zip(ids[data.units["group_index"]].tolist(), *cols))
+    W = np.asarray(data.W, dtype=float)
     with open(policy_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        p = data.W.shape[1]
-        writer.writerow(["group_id"] + [f"w_{j + 1}" for j in range(p)])
-        for g, gid in enumerate(ids):
-            writer.writerow([gid] + [_fmt_float(v) for v in data.W[g]])
+        writer.writerow(["group_id"] + [f"w_{j + 1}" for j in range(W.shape[1])])
+        writer.writerows([gid] + row for gid, row in zip(ids.tolist(), W.tolist()))
     return units_path, policy_path
 
 
@@ -457,9 +433,7 @@ def _load_data(cfg: dict, command: str):
             raise ConfigError(f"io.{key} is required for {command}")
     rank_tol = float(cfg.get("rank_tol", DEFAULT_RANK_TOL))
     samples, W, n_by_group, fw = ingest_units(io["units"], io["policy"])
-    design = dict(cfg.get("design", {}))
-    design["_p"] = W.shape[1]
-    spec = _resolve_design(design, samples[0].k, n_by_group, fw)
+    spec = _resolve_design(cfg.get("design"), samples[0].k, W.shape[1], n_by_group, fw)
     H1, H2 = stack_averages(samples)
     ids = [s.group_id for s in samples]
     return io, rank_tol, GroupArrays(H1, H2, n_by_group, W, group_ids=ids), spec

@@ -17,7 +17,7 @@ from .exceptions import InvalidInputError, InvalidProbabilityError
 from .moments import (
     DEFAULT_RANK_TOL,
     GroupSample,
-    _seq_mean,
+    block_means,
     nonsingular,
     stack_averages,
 )
@@ -165,7 +165,7 @@ def ipw_tau(delta_y: np.ndarray, e: np.ndarray, pi: float) -> float:
     if not (np.all(np.isfinite(dy)) and np.all(np.isfinite(ev))):
         raise InvalidInputError("ipw_tau inputs must be finite")
     weights = (ev - pi) / (pi * (1.0 - pi))
-    return float(_seq_mean(weights * dy))
+    return float(block_means(weights * dy, [dy.shape[0]])[0])
 
 
 def estimate_arrays(

@@ -39,6 +39,8 @@ def _check_psd_stack(A: np.ndarray, psd_tol: float, what: str) -> None:
     negative eigenvalue against the largest eigenvalue magnitude, so the
     decision does not depend on the units of the matrices.
     """
+    if A.size == 0:
+        raise InvalidInputError(f"{what} must not be empty")
     if np.max(np.abs(A - A.transpose(0, 2, 1))) > _SYM_TOL * np.max(np.abs(A)):
         raise InvalidInputError(f"{what} must be symmetric")
     eigs = np.linalg.eigvalsh((A + A.transpose(0, 2, 1)) / 2.0)

@@ -30,11 +30,17 @@ def _require_finite(name: str, value: np.ndarray | float) -> None:
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
-def _seq_mean(values: np.ndarray) -> np.ndarray:
-    """Mean over axis 0 with strictly sequential (left-to-right) summation."""
-    # np.add.reduceat accumulates in storage order; plain .sum() may pairwise.
-    total = np.add.reduceat(values, np.array([0]), axis=0)[0]
-    return total / values.shape[0]
+def block_means(values, n) -> np.ndarray:
+    """Means over consecutive blocks of sizes ``n`` along axis 0.
+
+    Each block is summed left to right in storage order (np.add.reduceat;
+    plain .sum() may pairwise), so averaging the same rows again, from any
+    source, reproduces the means bit for bit. Every block must be nonempty.
+    """
+    n = np.asarray(n)
+    starts = np.concatenate([[0], np.cumsum(n)[:-1]]).astype(int)
+    sums = np.add.reduceat(values, starts, axis=0)
+    return sums / n.reshape(n.shape + (1,) * (sums.ndim - 1))
 
 
 def _compensated_mean(values: np.ndarray) -> np.ndarray:
@@ -191,6 +197,20 @@ def moment_layout(dy, e, z=None, reduce=None) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
+def group_samples(ids: Sequence[str], n, dy, e, z=None) -> list[GroupSample]:
+    """Per-group samples from unit columns stored in consecutive blocks of sizes ``n``.
+
+    The unit moments are laid out once over the whole columns and then split
+    at the block boundaries.
+    """
+    h1, h2 = moment_layout(dy, e, z)
+    cuts = np.cumsum(n)[:-1]
+    return [
+        GroupSample(group_id=gid, h1s=a, h2s=b)
+        for gid, a, b in zip(ids, np.split(h1, cuts), np.split(h2, cuts))
+    ]
+
+
 def build_did_unit(delta_y: float, e: float) -> UnitMoment:
     """Moment contribution of one unit in the difference regression.
 
@@ -225,14 +245,21 @@ def average_moments(sample: GroupSample, compensated: bool = False) -> MomentAve
     """
     if sample.n_g < 1:
         raise EmptyGroupError(f"group {sample.group_id!r} has no units")
-    mean = _compensated_mean if compensated else _seq_mean
-    return MomentAverages(H1=mean(sample.h1s), H2=mean(sample.h2s))
+    if compensated:
+        return MomentAverages(
+            H1=_compensated_mean(sample.h1s), H2=_compensated_mean(sample.h2s)
+        )
+    H1, H2 = stack_averages([sample])
+    return MomentAverages(H1=H1[0], H2=H2[0])
 
 
 def stack_averages(samples: Sequence[GroupSample]) -> tuple[np.ndarray, np.ndarray]:
     """Within-group averages of several samples, stacked to (G, k) and (G, k, k)."""
-    avgs = [average_moments(s) for s in samples]
-    return np.stack([a.H1 for a in avgs]), np.stack([a.H2 for a in avgs])
+    n = [s.n_g for s in samples]
+    return (
+        block_means(np.concatenate([s.h1s for s in samples]), n),
+        block_means(np.concatenate([s.h2s for s in samples]), n),
+    )
 
 
 def nonsingular(H2: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -11,12 +11,13 @@ which makes every replication bit-reproducible independently of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..exceptions import ConfigError
-from ..moments import GroupSample, moment_layout
+from ..moments import GroupSample, block_means, group_samples, moment_layout
 
 # stream purposes for the counter-based generator
 _STREAMS = {
@@ -224,18 +225,8 @@ class SimulatedData:
 
     def samples(self) -> list[GroupSample]:
         """Materialize per-group samples (desk-scale use: export, round trips)."""
-        dy = self.units["delta_y"]
-        e = self.units["e"].astype(float)
-        z = self.units.get("z")
-        z = None if z is None else z.astype(float)
-        ids = self.group_ids()
-        starts = np.concatenate([[0], np.cumsum(self.n)[:-1]]).astype(int)
-        out = []
-        for g in range(self.G):
-            sl = slice(starts[g], starts[g] + int(self.n[g]))
-            h1, h2 = moment_layout(dy[sl], e[sl], None if z is None else z[sl])
-            out.append(GroupSample(group_id=ids[g], h1s=h1, h2s=h2))
-        return out
+        u = self.units
+        return group_samples(self.group_ids(), self.n, u["delta_y"], u["e"], u.get("z"))
 
 
 def _draw_noise(cfg: ScenarioConfig, rng: np.random.Generator, N: int) -> np.ndarray:
@@ -275,11 +266,7 @@ def _replication(
     Units come in consecutive blocks of sizes n; each moment column is summed
     per block left to right, as soon as it is formed.
     """
-    starts = np.concatenate([[0], np.cumsum(n)[:-1]]).astype(int)
-    nf = n.astype(float)
-    H1, H2 = moment_layout(
-        dy, e, z, reduce=lambda col: np.add.reduceat(col, starts) / nf
-    )
+    H1, H2 = moment_layout(dy, e, z, reduce=partial(block_means, n=n))
     units = {"group_index": gi, "delta_y": dy, "e": e}
     if z is not None:
         units["z"] = z

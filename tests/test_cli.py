@@ -1,9 +1,15 @@
+import contextlib
 import importlib.resources
+import io
 import json
+import os
+import tempfile
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groupfx as gx
 from groupfx.cli import main
@@ -71,6 +77,12 @@ class TestIngest:
         units = _write(tmp_path / "u.csv", "group_id,dy,e\ng1,3.0,1\n")
         policy = _write(tmp_path / "p.csv", "group_id,w_1\ng1,0.0\n")
         with pytest.raises(ParseError, match="delta_y"):
+            ingest_units(units, policy)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        units = _write(tmp_path / "u.csv", "group_id,delta_y,e,e\ng1,3.0,1,0\n")
+        policy = _write(tmp_path / "p.csv", "group_id,w_1\ng1,0.0\n")
+        with pytest.raises(ParseError, match="repeated column"):
             ingest_units(units, policy)
 
     def test_non_numeric_cell_row_numbered(self, tmp_path):
@@ -275,6 +287,85 @@ class TestExitCodes:
         cfg = _config(tmp_path, scenario={"name": "nope"})
         assert main(["simulate", "--config", cfg, "--json-only"]) == 1
 
+    def test_undecodable_file_is_one(self, tmp_path):
+        units = tmp_path / "u.csv"
+        units.write_bytes(b"group_id,delta_y,e\ng1,3.0\xff,1\n")
+        policy = _write(tmp_path / "p.csv", "group_id,w_1\ng1,0.0\n")
+        cfg = _config(tmp_path, method="md", io={"units": str(units), "policy": policy})
+        assert main(["estimate", "--config", cfg, "--json-only"]) == 1
+
+
+# (file, fault) pairs; a duplicate id is a fault only where ids are keys
+_CELL_FAULTS = {"non_numeric": "abc", "inf": "inf", "nan": "nan", "empty_cell": ""}
+_FAULTS = [
+    (table, fault)
+    for table in ("units", "policy", "aux")
+    for fault in [*_CELL_FAULTS, "short", "extra", "empty_id", "duplicate"]
+    if not (table == "units" and fault == "duplicate")
+]
+
+
+@st.composite
+def _faulty_tables(draw):
+    """Valid units, policy and aux tables, then one fault in one of them.
+
+    Returns the tables (lists of string rows, header first), the faulty
+    table's name and the data row (counting from 0) that holds the fault.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    extra_cols = draw(st.sampled_from([[], ["z"], ["weight"], ["z", "weight"]]))
+    units = [["group_id", "delta_y", "e"] + extra_cols]
+    for g, n in enumerate(sizes):
+        for i in range(n):
+            cells = {"z": str((i + 1) % 2), "weight": "2.0"}
+            row = [f"g{g}", repr(0.5 * g + i), str(i % 2)]
+            units.append(row + [cells[c] for c in extra_cols])
+    groups = range(len(sizes))
+    tables = {
+        "units": units,
+        "policy": [["group_id", "w_1"]] + [[f"g{g}", repr(float(g))] for g in groups],
+        "aux": [["group_id", "h2_11", "h2_12", "h2_21", "h2_22"]]
+        + [[f"g{g}", "1.0", "0.5", "0.5", "0.5"] for g in groups],
+    }
+    table, fault = draw(st.sampled_from(_FAULTS))
+    rows = tables[table]
+    r = draw(st.integers(0, len(rows) - 2))
+    row = rows[r + 1]
+    col = draw(st.integers(1, len(row) - 1))
+    if fault in _CELL_FAULTS:
+        row[col] = _CELL_FAULTS[fault]
+    elif fault == "short":
+        del row[-1]
+    elif fault == "extra":
+        row.append("1.0")
+    elif fault == "empty_id":
+        row[0] = draw(st.sampled_from(["", "  "]))
+    else:
+        rows.insert(r + 2, list(row))
+        r += 1
+    return tables, table, r
+
+
+class TestMalformedInput:
+    @given(_faulty_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_one_fault_exits_one_and_names_the_row(self, case):
+        tables, table, r = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, rows in tables.items():
+                paths[name] = os.path.join(tmp, f"{name}.csv")
+                with open(paths[name], "w", encoding="utf-8") as fh:
+                    fh.write("".join(",".join(row) + "\n" for row in rows))
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump({"method": "md_alt", "io": paths, "design": _design()}, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["estimate", "--config", cfg, "--json-only"])
+        assert code == 1, err.getvalue()
+        assert f"{paths[table]}:{r + 2}:" in err.getvalue()
+
 
 class TestSimulateCommand:
     def test_reduced_run_report_validates(self, tmp_path):
@@ -391,6 +482,21 @@ class TestEstimateRoundTrip:
             for name, value, se in ref.rows
         ]
         assert report["coefficients"] == expected  # bitwise equality
+
+    @pytest.mark.parametrize(
+        "preset_name, G", [("composition_demo", 40), ("iv_compliance_demo", 4)]
+    )
+    def test_ingest_reproduces_dgp_arrays(self, tmp_path, preset_name, G):
+        # two policy columns, and a z column, on top of the cases above
+        from groupfx.cli import export_units
+        from groupfx.moments import stack_averages
+        from groupfx.simlab import load_preset, simulate
+
+        data = simulate(load_preset(preset_name, G=G).cfg, 1)
+        samples, W, n, _ = ingest_units(*export_units(data, str(tmp_path / "dump")))
+        H1, H2 = stack_averages(samples)
+        for got, want in ((W, data.W), (H1, data.H1), (H2, data.H2), (n, data.n)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestDiagnoseCommand:

@@ -104,6 +104,11 @@ class TestGmmWeights:
         with pytest.raises(InvalidInputError):
             gx.GmmWeights(matrices=A)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0)])
+    def test_empty_stack_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="must not be empty"):
+            gx.GmmWeights(matrices=np.zeros(shape))
+
 
 class TestScaleRelativeWeightCheck:
     # GmmWeights and DiscreteScenario share one check, relative to the stack

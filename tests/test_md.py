@@ -64,6 +64,17 @@ class TestOracleSpec:
         B = spec.effect_from_coefficients(coefs)
         np.testing.assert_allclose(spec.basis_coefficients(B), coefs, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0])
+    def test_out_of_span_rejected_at_any_scale(self, scale):
+        # the basis spans only the second row
+        with pytest.raises(InvalidInputError, match="spanned effect subspace"):
+            _effect_row_spec().basis_coefficients(scale * np.ones((2, 1)))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e8])
+    def test_rescaled_in_span_accepted(self, scale):
+        coefs = _effect_row_spec().basis_coefficients(scale * np.array([[0.0], [1.0]]))
+        np.testing.assert_allclose(coefs, [scale], rtol=1e-12)
+
 
 class TestKappa:
     @pytest.mark.parametrize("k", [2, 5])
