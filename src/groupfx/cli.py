@@ -47,7 +47,7 @@ from .md import (
     b0_basis_scalar,
     fit_md_arrays,
 )
-from .moments import DEFAULT_RANK_TOL, group_samples, stack_averages
+from .moments import DEFAULT_RANK_TOL, as_columns, group_averages, group_samples
 from .simlab import (
     load_preset,
     run_monte_carlo,
@@ -113,7 +113,7 @@ def load_config(path: str, command: str) -> dict:
 
 
 def _resolve_design(
-    design: Optional[dict], k: int, p: int, n_by_group: Optional[np.ndarray], weights_file
+    design: Optional[dict], k: int, p: int, n_by_group: np.ndarray, weights_file
 ) -> OracleSpec:
     design = design or {}
     gamma_spec = design.get("gamma", "none")
@@ -127,9 +127,7 @@ def _resolve_design(
                 f"unknown gamma preset {gamma_spec!r}; use 'none', 'ones', or a matrix"
             )
     else:
-        gamma = np.asarray(gamma_spec, dtype=float)
-        if gamma.ndim == 1:
-            gamma = gamma[:, None]
+        gamma = as_columns(gamma_spec)
         if gamma.shape[0] != k:
             raise ConfigError(f"gamma has {gamma.shape[0]} rows, data has k={k}")
 
@@ -153,8 +151,6 @@ def _resolve_design(
     if weight_mode == "unit":
         gw = None
     elif weight_mode == "group_size":
-        if n_by_group is None:
-            raise ConfigError("'group_size' weights need ingested data")
         gw = n_by_group.astype(float)
     elif weight_mode == "file":
         if weights_file is None:
@@ -191,11 +187,12 @@ def _read_table(path: str, what: str, columns) -> tuple[list, list, np.ndarray]:
     raises ValueError, with the reason, when the header is unfit. Blank lines
     are skipped, and data row r (counting from 0) is reported as row r + 2.
     Every row needs one field per header column, a nonempty ``group_id`` and
-    finite numbers. Returns the stripped ids, the numeric column names and a
+    finite numbers; an undecodable byte reads as a lone surrogate and fails in
+    its row. Returns the stripped ids, the numeric column names and a
     (rows, columns) array.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise ParseError(f"cannot open {what} file {path}: {exc}") from exc
     ids: list[str] = []
@@ -212,11 +209,14 @@ def _read_table(path: str, what: str, columns) -> tuple[list, list, np.ndarray]:
             for i, row in enumerate(filter(None, reader), start=2):
                 if len(row) != width:
                     raise ParseError(f"{path}:{i}: expected {width} fields, got {len(row)}")
-                ids.append(sys.intern(row[at_id].strip()))  # one copy of each id
-                if not ids[-1]:
+                gid = sys.intern(row[at_id].strip())  # one copy of each id
+                if not gid:
                     raise ParseError(f"{path}:{i}: empty group_id")
+                if not gid.isascii() and any("\udc80" <= c <= "\udcff" for c in gid):
+                    raise ParseError(f"{path}:{i}: group_id {gid!r} is not UTF-8")
+                ids.append(gid)
                 values.extend([_parse_float(row[j], path, i, c) for j, c in at])
-        except (csv.Error, ValueError) as exc:  # an unfit header or undecodable text
+        except (csv.Error, ValueError) as exc:  # an unfit header or malformed CSV
             raise ParseError(f"{path}: {exc}") from exc
     return ids, names, np.array(values).reshape(len(ids), len(names))
 
@@ -253,15 +253,13 @@ def _policy_columns(header: list[str]) -> list[str]:
     return wcols
 
 
-def ingest_units(units_path: str, policy_path: str):
-    """Read the unit-level and policy CSVs into group samples.
+def _read_units(units_path: str, policy_path: str):
+    """Read the unit-level and policy CSVs into per-group unit columns.
 
-    Returns (samples, policies, n_by_group, file_weights): samples in
-    first-appearance order of ``group_id``, a policy matrix aligned with them,
-    per-group sizes, and the per-group weight column when present (it must be
-    constant within a group). The event column decides the moment design:
-    with a ``z`` column, instrumented moments are built; without it, the
-    difference-design moments. Within a group, units keep their file order.
+    Returns (ids, n_by_group, columns, policies, file_weights): ids in
+    first-appearance order; the columns by name, each group's units one block
+    in file order (a group's rows may be interleaved with others'); policies
+    aligned with the ids; and the weight column per group, when present.
     """
     ids, names, values = _read_table(units_path, "units", _units_columns)
     if not ids:
@@ -292,7 +290,17 @@ def ingest_units(units_path: str, policy_path: str):
             raise ParseError(
                 f"{units_path}:{i + 2}: weight column varies within group {ids[i]!r}"
             )
-    samples = group_samples(order, n_by_group, cols["delta_y"], cols["e"], cols.get("z"))
+    return order, n_by_group, cols, W, fw
+
+
+def ingest_units(units_path: str, policy_path: str):
+    """Read the unit-level and policy CSVs into group samples.
+
+    Returns (samples, policies, n_by_group, file_weights) as :func:`_read_units`
+    does. A ``z`` column gives instrumented moments, else difference-design ones.
+    """
+    ids, n_by_group, cols, W, fw = _read_units(units_path, policy_path)
+    samples = group_samples(ids, n_by_group, cols["delta_y"], cols["e"], cols.get("z"))
     return samples, W, n_by_group, fw
 
 
@@ -426,16 +434,19 @@ def _emit(report: dict, out_path: Optional[str]) -> None:
 # subcommands
 
 def _load_data(cfg: dict, command: str):
-    """Ingest the files, resolve the design and stack the group averages."""
+    """Read the files, average the unit moments and resolve the design."""
     io = cfg.get("io", {})
     for key in ("units", "policy"):
         if key not in io:
             raise ConfigError(f"io.{key} is required for {command}")
     rank_tol = float(cfg.get("rank_tol", DEFAULT_RANK_TOL))
-    samples, W, n_by_group, fw = ingest_units(io["units"], io["policy"])
-    spec = _resolve_design(cfg.get("design"), samples[0].k, W.shape[1], n_by_group, fw)
-    H1, H2 = stack_averages(samples)
-    ids = [s.group_id for s in samples]
+    ids, n_by_group, cols, W, fw = _read_units(io["units"], io["policy"])
+    with np.errstate(over="ignore"):  # finite cells can still overflow; checked next
+        H1, H2 = group_averages(n_by_group, cols["delta_y"], cols["e"], cols.get("z"))
+    bad = ~np.isfinite(H1).all(axis=1) | ~np.isfinite(H2).all(axis=(1, 2))
+    if bad.any():
+        raise ParseError(f"{io['units']}: the moments of group {ids[bad.argmax()]!r} overflow")
+    spec = _resolve_design(cfg.get("design"), H1.shape[1], W.shape[1], n_by_group, fw)
     return io, rank_tol, GroupArrays(H1, H2, n_by_group, W, group_ids=ids), spec
 
 

@@ -18,7 +18,7 @@ from .exceptions import DesignDeficientError, InvalidInputError
 from .first_stage import GroupEstimate
 from .gmm import weighted_slope
 from .md import _EIG_TOL, OracleSpec
-from .moments import design_singular
+from .moments import as_columns, design_singular
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,9 @@ def md_bias_bound(
     the selected policy moment matrix M = (1/G) sum omega_g (1, W_g)'(1, W_g),
     and the largest policy and residual norms.
     """
-    W = np.asarray(policies, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
+    W = as_columns(policies)
     omegas = np.asarray(omegas, dtype=float)
-    res = np.asarray(residuals, dtype=float)
-    if res.ndim == 1:
-        res = res[:, None]
+    res = as_columns(residuals)
     G = W.shape[0]
     if omegas.shape[0] != G or res.shape[0] != G:
         raise InvalidInputError("policies, omegas and residuals must align")

@@ -27,7 +27,7 @@ from .exceptions import (
 )
 from .first_stage import estimate_arrays
 from .md import _EIG_TOL, FitResult, OracleSpec, concentrate_weights, fit_core
-from .moments import DEFAULT_RANK_TOL, GroupSample, stack_averages
+from .moments import DEFAULT_RANK_TOL, GroupSample, as_columns, stack_averages
 
 _SYM_TOL = 1e-12
 
@@ -170,9 +170,7 @@ class DiscreteScenario:
     b0_basis: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        W = np.asarray(self.W, dtype=float)
-        if W.ndim == 1:
-            W = W[:, None]
+        W = as_columns(self.W)
         alpha = np.asarray(self.alpha, dtype=float)
         atilde = np.asarray(self.atilde, dtype=float)
         prob = np.asarray(self.prob, dtype=float)
@@ -190,10 +188,7 @@ class DiscreteScenario:
         object.__setattr__(self, "atilde", atilde)
         object.__setattr__(self, "prob", prob)
         object.__setattr__(self, "B0_true", np.asarray(self.B0_true, dtype=float))
-        g = np.asarray(self.gamma, dtype=float)
-        if g.ndim == 1:
-            g = g[:, None]
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", as_columns(self.gamma))
         object.__setattr__(
             self, "b0_basis", tuple(np.asarray(b, dtype=float) for b in self.b0_basis)
         )

@@ -27,7 +27,7 @@ from .exceptions import (
     NoDataError,
 )
 from .first_stage import GroupEstimate
-from .moments import design_singular
+from .moments import as_columns, design_singular
 
 _EIG_TOL = 1e-12
 _SPAN_TOL = 1e-8  # relative residual of B outside the effect basis
@@ -119,11 +119,7 @@ class OracleSpec:
         group_weights: Optional[np.ndarray] = None,
         policy_dim: Optional[int] = None,
     ) -> None:
-        gamma = np.asarray(gamma, dtype=float)
-        if gamma.ndim == 1:
-            gamma = gamma[:, None]
-        if gamma.size == 0 and gamma.ndim == 2:
-            gamma = gamma.reshape(gamma.shape[0], 0)
+        gamma = as_columns(gamma)
         k, q = gamma.shape
         if k < 1:
             raise InvalidDesignError("gamma must have at least one row")
@@ -449,9 +445,7 @@ def fit_core(
     used for residual reporting and may be NaN where undefined).
     """
     theta = np.asarray(theta, dtype=float)
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
+    W = as_columns(W)
     G = W.shape[0]
     if W.shape[1] != spec.p:
         raise InvalidInputError(f"policies have p={W.shape[1]}, design has p={spec.p}")
@@ -611,9 +605,7 @@ def md_objective(
     Evaluates sum_g omega_g w_g || P_perp (theta_g - alpha - B W_g) ||^2 with
     lambda_g concentrated out; used by the gradient-check tests.
     """
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
+    W = as_columns(W)
     weights = spec.group_weights if spec.group_weights is not None else 1.0
     B = spec.effect_from_coefficients(basis_coefs)
     alpha = spec.U @ alpha_tilde
@@ -640,9 +632,7 @@ def ehw_vcov(
         raise InvalidInputError("fit does not carry score information")
     if fit._dims is not None and fit._dims != (spec.k, spec.p, spec.m):
         raise InvalidInputError("spec does not match the one used for this fit")
-    W = np.asarray(policies, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
+    W = as_columns(policies)
     if W.shape[1] != spec.p:
         raise InvalidInputError("policies do not match the design's policy_dim")
     scores = fit._scores

@@ -16,6 +16,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -28,6 +29,12 @@ DEFAULT_RANK_TOL = 1e-10
 def _require_finite(name: str, value: np.ndarray | float) -> None:
     if not np.all(np.isfinite(value)):
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
+
+
+def as_columns(x) -> np.ndarray:
+    """``x`` as a float array, a vector taken as one column."""
+    x = np.asarray(x, dtype=float)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def block_means(values, n) -> np.ndarray:
@@ -195,6 +202,11 @@ def moment_layout(dy, e, z=None, reduce=None) -> tuple[np.ndarray, np.ndarray]:
     h2[..., 1, 0] = reduce(z)
     h2[..., 1, 1] = reduce(z * e)
     return h1, h2
+
+
+def group_averages(n, dy, e, z=None) -> tuple[np.ndarray, np.ndarray]:
+    """Group means of the unit moments over consecutive blocks of sizes ``n``."""
+    return moment_layout(dy, e, z, reduce=partial(block_means, n=n))
 
 
 def group_samples(ids: Sequence[str], n, dy, e, z=None) -> list[GroupSample]:

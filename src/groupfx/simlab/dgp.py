@@ -11,13 +11,12 @@ which makes every replication bit-reproducible independently of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..exceptions import ConfigError
-from ..moments import GroupSample, block_means, group_samples, moment_layout
+from ..moments import GroupSample, group_averages, group_samples
 
 # stream purposes for the counter-based generator
 _STREAMS = {
@@ -261,12 +260,8 @@ def _draw_group_level(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray
 def _replication(
     n, W, theta, pi, H2_pop, gi, dy, e, z: Optional[np.ndarray] = None
 ) -> SimulatedData:
-    """Package one replication, averaging the unit moments within groups.
-
-    Units come in consecutive blocks of sizes n; each moment column is summed
-    per block left to right, as soon as it is formed.
-    """
-    H1, H2 = moment_layout(dy, e, z, reduce=partial(block_means, n=n))
+    """Package one replication; its units come in consecutive blocks of sizes n."""
+    H1, H2 = group_averages(n, dy, e, z)
     units = {"group_index": gi, "delta_y": dy, "e": e}
     if z is not None:
         units["z"] = z

@@ -1,6 +1,7 @@
 import contextlib
 import importlib.resources
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -92,6 +93,14 @@ class TestIngest:
         policy = _write(tmp_path / "p.csv", "group_id,w_1\ng1,0.0\n")
         with pytest.raises(ParseError, match=r"u\.csv:3"):
             ingest_units(units, policy)
+
+    @pytest.mark.parametrize("row", [b"g1,3.0\xff,1", b"g\xff1,3.0,1"], ids=["number", "id"])
+    def test_undecodable_byte_row_numbered(self, tmp_path, row):
+        units = tmp_path / "u.csv"
+        units.write_bytes(b"group_id,delta_y,e\ng1,1.0,0\n" + row + b"\n")
+        policy = _write(tmp_path / "p.csv", "group_id,w_1\ng1,0.0\n")
+        with pytest.raises(ParseError, match=r"u\.csv:3:"):
+            ingest_units(str(units), policy)
 
     def test_z_column_switches_to_instrumented_moments(self, tmp_path):
         units = _write(
@@ -293,6 +302,28 @@ class TestExitCodes:
         policy = _write(tmp_path / "p.csv", "group_id,w_1\ng1,0.0\n")
         cfg = _config(tmp_path, method="md", io={"units": str(units), "policy": policy})
         assert main(["estimate", "--config", cfg, "--json-only"]) == 1
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("estimate", {"method": m}) for m in ("md", "gmm", "tsls")] + [("diagnose", {})],
+        ids=["md", "gmm", "tsls", "diagnose"],
+    )
+    @pytest.mark.parametrize(
+        "g0", ["g0,1e308,0\ng0,1e308,1\n", "g0,1e200,1e200\ng0,1.0,0\n"],
+        ids=["sum", "product"],
+    )
+    def test_overflowing_moments_are_one(self, tmp_path, capsys, command, extra, g0):
+        # finite cells whose group sum, or z * delta_y product, overflows
+        units = _write(
+            tmp_path / "u.csv",
+            "group_id,delta_y,e\n" + g0 + "g1,1.0,0\ng1,3.0,1\ng2,1.0,0\ng2,5.0,1\n"
+            "g3,1.0,0\ng3,7.0,1\n",
+        )
+        policy = _write(tmp_path / "p.csv", "group_id,w_1\ng0,1.0\ng1,0.0\ng2,1.0\ng3,2.0\n")
+        cfg = _config(tmp_path, io={"units": units, "policy": policy}, design=_design(), **extra)
+        assert main([command, "--config", cfg, "--json-only"]) == 1
+        err = capsys.readouterr().err
+        assert f"{units}: " in err and "group 'g0'" in err
 
 
 # (file, fault) pairs; a duplicate id is a fault only where ids are keys
@@ -615,3 +646,37 @@ class TestWeightModes:
         )
         assert main(["estimate", "--config", cfg, "--out", str(out), "--json-only"]) == 0
         _validated_report(out)
+
+    def test_interleaved_rows_match_grouped_rows(self, tmp_path):
+        # a group's rows need not be consecutive; within a group, file order counts
+        from groupfx.cli import export_units
+        from groupfx.simlab import load_preset, simulate
+
+        data = simulate(load_preset("selection_demo", G=30).cfg, 1)
+        units, policy = export_units(data, str(tmp_path / "dump"))
+        header, *rows = open(units).read().splitlines()
+        groups = {}
+        for row in rows:
+            groups.setdefault(row.split(",")[0], []).append(row)
+        blocks = [[f"{r},{g % 3 + 1}.0" for r in rs] for g, rs in enumerate(groups.values())]
+        layouts = {
+            "grouped": [r for block in blocks for r in block],
+            "interleaved": [r for layer in itertools.zip_longest(*blocks) for r in layer if r],
+        }
+        assert layouts["grouped"] != layouts["interleaved"]
+        reports = {}
+        for name, lines in layouts.items():
+            path = _write(tmp_path / f"{name}.csv", "\n".join([header + ",weight", *lines]) + "\n")
+            out = tmp_path / f"{name}.json"
+            cfg = _config(
+                tmp_path,
+                name=f"{name}.cfg.json",
+                method="md",
+                io={"units": path, "policy": policy},
+                design={**_design(), "weights": "file"},
+                report={"per_group": True},
+            )
+            assert main(["estimate", "--config", cfg, "--out", str(out), "--json-only"]) == 0
+            reports[name] = _validated_report(out)
+            del reports[name]["timing"], reports[name]["config"]
+        assert reports["grouped"] == reports["interleaved"]
